@@ -79,9 +79,9 @@ def main() -> None:
     with Session(correspondences=corr) as session:
         run(session, "memory")
 
-    print("\n== real TCP sockets (localhost) ==")
-    with Session(backend="tcp", correspondences=corr) as tcp:
-        run(tcp, "tcp")
+    print("\n== real TCP sockets (localhost, asyncio runtime) ==")
+    with Session(backend="aio", correspondences=corr) as aio:
+        run(aio, "aio")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Quick start::
     from repro import Session
     from repro.toolkit import Shell, TextField
 
-    session = Session()                        # backend="memory"|"tcp"|"aio"
+    session = Session()                        # backend="memory"|"aio"
     a = session.create_instance("app-a", user="alice")
     b = session.create_instance("app-b", user="bob")
 
@@ -34,28 +34,19 @@ from repro.core.compat import CorrespondenceRegistry
 from repro.core.state_sync import FLEXIBLE, MERGE, STRICT
 from repro.errors import ReproError
 from repro.server.server import CosoftServer
-from repro.session import (
-    ClusterSession,
-    LocalSession,
-    Session,
-    SessionConfig,
-    TcpSession,
-)
+from repro.session import Session, SessionConfig
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ApplicationInstance",
-    "ClusterSession",
     "CorrespondenceRegistry",
     "CosoftServer",
     "FLEXIBLE",
-    "LocalSession",
     "MERGE",
     "ReproError",
     "STRICT",
     "Session",
     "SessionConfig",
-    "TcpSession",
     "__version__",
 ]

@@ -9,9 +9,9 @@ event → acks) never crosses shards.
 
 :class:`ShardedCosoftCluster` is itself a **sans-I/O state machine** with
 the same ``handle_message`` contract as ``CosoftServer`` — bind it to a
-:class:`~repro.net.memory.MemoryNetwork` endpoint or a
-:class:`~repro.net.tcp.TcpHostTransport` and clients cannot tell it from a
-single server.  Internally it:
+:class:`~repro.net.memory.MemoryNetwork` endpoint or run it under the
+:class:`~repro.server.runtime.AsyncServerRuntime` and clients cannot tell
+it from a single server.  Internally it:
 
 * forwards registration and permission rules to **all** shards (every
   shard needs the roster and ACLs), answering the client itself so the

@@ -39,7 +39,7 @@ from repro.net.registry import (
     get_communicator,
     register_communicator,
 )
-from repro.net.tcp import TcpClientTransport, TcpHostTransport
+from repro.net.tcp import TcpClientTransport
 from repro.net.transport import (
     ROUTER_ID,
     SERVER_ID,
@@ -63,7 +63,6 @@ __all__ = [
     "SimClock",
     "StreamDecoder",
     "TcpClientTransport",
-    "TcpHostTransport",
     "TrafficStats",
     "Transport",
     "WallClock",

@@ -1,9 +1,9 @@
 """Asyncio server transport: batching, backpressure and per-hop retry.
 
-This module replaces the blocking thread-per-connection TCP loop on the
-*server* side with a single-threaded :mod:`asyncio` protocol speaking the
-same length-prefixed codec (:mod:`repro.net.codec`).  By default batched
-frames are just concatenated frames, which any client's
+The *server* side of every socket deployment is a single-threaded
+:mod:`asyncio` protocol speaking the length-prefixed codec
+(:mod:`repro.net.codec`).  By default batched frames are just
+concatenated frames, which any client's
 :class:`~repro.net.codec.StreamDecoder` already handles; with
 ``wire_batching`` on, each flush instead leaves as **one batch-envelope
 frame** (:meth:`Codec.encode_batch`), which the same decoder splits

@@ -14,7 +14,7 @@ backend`` where the backend implements the small surface
 ``pump`` / ``traffic`` / ``close`` / ``now``).  Three registration
 paths, in resolution order:
 
-1. **Built-ins** — ``memory`` / ``tcp`` / ``aio`` are pre-seeded as
+1. **Built-ins** — ``memory`` / ``aio`` are pre-seeded as
    lazy targets into :mod:`repro.session` (never imported from here, to
    keep the module import-cycle-free).
 2. **API** — :func:`register_communicator`, directly or as a decorator::
@@ -111,7 +111,6 @@ _REGISTRY: Dict[str, CommunicatorSpec] = {
     )
     for name, attr in (
         ("memory", "_MemoryBackend"),
-        ("tcp", "_TcpBackend"),
         ("aio", "_AioBackend"),
     )
 }

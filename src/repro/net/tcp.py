@@ -1,14 +1,16 @@
-"""Real-socket transport: the protocol over TCP.
+"""Plain-socket client transport: the protocol over TCP.
 
 Topology is a star, exactly like the paper's implementation: every
 application instance holds one TCP connection to the central server; all
 communication is mediated by the server ("these messages are directly
-handled by our communication server", §3.4).
+handled by our communication server", §3.4).  The server side is the
+asyncio runtime (:mod:`repro.server.runtime`); this module is the
+interop client that joins it over a plain socket and a reader thread
+(:meth:`~repro.core.instance.ApplicationInstance.connect_tcp`).
 
 Threading model
 ---------------
-* The host side runs an accept thread plus one reader thread per
-  connection; the client side runs one reader thread.
+* The client runs one reader thread.
 * Each endpoint's message handler is *serialized*: the transport owns a
   condition variable and invokes the handler under its lock, so the sans-IO
   cores never see concurrent calls.  Application threads synchronize with
@@ -24,24 +26,19 @@ import logging
 import socket
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator
 
 from repro.errors import DeliveryError, TransportClosedError
-from repro.net.codec import Codec, StreamDecoder, encode_batch_for, get_codec
+from repro.net.codec import Codec, StreamDecoder, get_codec
 from repro.net.message import Message
-from repro.net.transport import (
-    DROP_DETACHED,
-    MessageHandler,
-    TrafficStats,
-    Transport,
-)
+from repro.net.transport import MessageHandler, TrafficStats, Transport
 from repro.obs.log import get_logger, log_event
 
 _log = get_logger("net.tcp")
 
 
 class TcpTransportBase(Transport):
-    """Shared machinery of the host and client TCP transports."""
+    """Shared machinery of the socket client transports (plain and aio)."""
 
     def __init__(
         self,
@@ -98,233 +95,10 @@ class TcpTransportBase(Transport):
         """This endpoint's outbound codec (inbound is auto-detected)."""
         return self._codec
 
-    def _send_on(
-        self,
-        sock: socket.socket,
-        message: Message,
-        codec: Optional[Codec] = None,
-    ) -> int:
-        frame = (codec if codec is not None else self._codec).encode(message)
+    def _send_on(self, sock: socket.socket, message: Message) -> int:
+        frame = self._codec.encode(message)
         sock.sendall(frame)
         return len(frame)
-
-
-class TcpHostTransport(TcpTransportBase):
-    """The server's transport: listens, accepts, routes by instance id.
-
-    A connection is associated with an instance id on the first message it
-    sends (normally REGISTER); from then on the server can address that
-    instance by id.
-
-    With ``wire_batching`` on, the sends a handler burst produces while
-    one inbound chunk is dispatched are coalesced per destination and
-    flushed as batch envelopes (one ``sendall`` per destination) instead
-    of one ``sendall`` per message.  A send that fails during that
-    deferred flush is dropped and attributed in :attr:`stats` rather
-    than raised (the handler that produced it has already returned).
-    """
-
-    def __init__(
-        self,
-        handler: MessageHandler,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        local_id: str = "server",
-        backlog: int = 32,
-        codec: object = "json",
-        wire_batching: bool = False,
-    ):
-        super().__init__(local_id, handler, codec=codec)
-        self._wire_batching = bool(wire_batching)
-        #: While a reader thread dispatches a chunk under wire batching,
-        #: host sends land here instead of going straight to a socket
-        #: (guarded by ``self._cond``; None means "no burst active").
-        self._burst: Optional[List[Message]] = None
-        #: Per-peer codec negotiation: each peer is answered in the codec
-        #: of its own frames (auto-detected by the StreamDecoder), so a
-        #: mixed fleet of JSON and binary clients shares one server.
-        self._peer_codecs: Dict[str, Codec] = {}
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(backlog)
-        self.address = self._listener.getsockname()
-        self._conns: Dict[str, socket.socket] = {}
-        self._threads: list = []
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="tcp-accept", daemon=True
-        )
-        self._accept_thread.start()
-
-    def send(self, message: Message) -> None:
-        if self._closed:
-            raise TransportClosedError("host transport is closed")
-        target = message.to
-        with self._cond:
-            if self._burst is not None:
-                self._burst.append(message)
-                return
-            sock = self._conns.get(target)
-            codec = self._peer_codecs.get(target)
-        if sock is None:
-            raise DeliveryError(f"no connection for instance {target!r}")
-        try:
-            size = self._send_on(sock, message, codec)
-        except OSError as exc:
-            raise DeliveryError(f"send to {target!r} failed: {exc}") from exc
-        self.stats.record(message, size, target)
-
-    def close(self) -> None:
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            conns = list(self._conns.values())
-            self._conns.clear()
-            self._peer_codecs.clear()
-        with contextlib.suppress(OSError):
-            self._listener.close()
-        for sock in conns:
-            with contextlib.suppress(OSError):
-                sock.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                sock.close()
-
-    # Internal ----------------------------------------------------------
-
-    def connections(self) -> Tuple[str, ...]:
-        """Peer ids with a live connection (same shape as the aio host)."""
-        with self._cond:
-            return tuple(self._conns)
-
-    @contextlib.contextmanager
-    def _burst_sends(self) -> Iterator[None]:
-        """Coalesce every host send issued inside the block (wire
-        batching only; a plain no-op otherwise).
-
-        The first thread through arms the buffer and owns the flush;
-        concurrent reader threads just dispatch — their sends land in
-        the owner's buffer and leave with its flush.
-        """
-        if not self._wire_batching:
-            yield
-            return
-        with self._cond:
-            owner = self._burst is None
-            if owner:
-                self._burst = []
-        try:
-            yield
-        finally:
-            if owner:
-                with self._cond:
-                    pending, self._burst = self._burst, None
-                if pending:
-                    # Flush outside the lock: sendall may block, and the
-                    # handlers that produced these messages already ran.
-                    self._flush_burst(pending)
-
-    def _flush_burst(self, pending: List[Message]) -> None:
-        """Write one coalesced burst: one envelope per destination."""
-        by_dest: Dict[str, List[Message]] = {}
-        for message in pending:
-            by_dest.setdefault(message.to, []).append(message)
-        for dest, messages in by_dest.items():
-            with self._cond:
-                sock = self._conns.get(dest)
-                codec = self._peer_codecs.get(dest)
-            if codec is None:
-                codec = self._codec
-            if sock is None:
-                self._drop_burst(dest, messages, codec, "no connection")
-                continue
-            payload = encode_batch_for(codec, messages)
-            try:
-                sock.sendall(payload)
-            except OSError as exc:
-                self._drop_burst(dest, messages, codec, type(exc).__name__)
-                continue
-            if len(messages) > 1:
-                self._stats.record_many(messages, len(payload), dest)
-                self._stats.record_envelope(len(messages), len(payload))
-            else:
-                self._stats.record(messages[0], len(payload), dest)
-            self._stats.record_batch(len(messages))
-
-    def _drop_burst(
-        self, dest: str, messages: List[Message], codec: Codec, why: str
-    ) -> None:
-        """Account a burst that could not be written (the producing
-        handlers have returned, so there is nobody left to raise to)."""
-        for message in messages:
-            self._stats.record_drop(
-                message, codec.wire_size(message), reason=DROP_DETACHED
-            )
-        log_event(
-            _log,
-            logging.WARNING,
-            "burst_flush_failed",
-            destination=dest,
-            dropped=len(messages),
-            error=why,
-        )
-
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            thread = threading.Thread(
-                target=self._reader_loop, args=(sock,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _reader_loop(self, sock: socket.socket) -> None:
-        decoder = StreamDecoder()
-        peer_id: Optional[str] = None
-        codec_name: Optional[str] = None
-        try:
-            while not self._closed:
-                data = sock.recv(65536)
-                if not data:
-                    break
-                messages = decoder.feed(data)
-                if not messages:
-                    continue
-                if peer_id is None:
-                    peer_id = messages[0].sender
-                    with self._cond:
-                        self._conns[peer_id] = sock
-                if decoder.last_codec != codec_name:
-                    # Negotiation: answer this peer in its own codec.
-                    codec_name = decoder.last_codec
-                    with self._cond:
-                        self._peer_codecs[peer_id] = get_codec(codec_name)
-                with self._burst_sends():
-                    for message in messages:
-                        self.recv(message)
-        except OSError as exc:
-            if not self._closed:
-                log_event(
-                    _log,
-                    logging.WARNING,
-                    "connection_error",
-                    peer=peer_id,
-                    error=type(exc).__name__,
-                )
-        finally:
-            if peer_id is not None:
-                with self._cond:
-                    if self._conns.get(peer_id) is sock:
-                        del self._conns[peer_id]
-                        self._peer_codecs.pop(peer_id, None)
-                log_event(_log, logging.DEBUG, "connection_closed", peer=peer_id)
-            with contextlib.suppress(OSError):
-                sock.close()
 
 
 class TcpClientTransport(TcpTransportBase):

@@ -1,4 +1,4 @@
-"""Transport abstraction shared by the simulated, TCP and asyncio networks.
+"""Transport abstraction shared by the simulated and socket networks.
 
 The server and the application instances are **sans-I/O state machines**:
 they expose ``handle_message(Message)`` and emit messages through a
@@ -6,11 +6,12 @@ they expose ``handle_message(Message)`` and emit messages through a
 
 * :class:`~repro.net.memory.MemoryNetwork` — deterministic discrete-event
   simulation with a latency model (the default for tests and benchmarks);
-* :class:`~repro.net.tcp.TcpTransport` — real sockets, one thread per
-  connection;
-* :class:`~repro.net.aio.AioHostTransport` — real sockets on an asyncio
-  event loop, with outbound batching, bounded per-client send queues and
-  per-hop retry (see docs/RUNTIME.md).
+* :class:`~repro.net.aio.AioHostTransport` — the server's real sockets on
+  an asyncio event loop, with outbound batching, bounded per-client send
+  queues and per-hop retry (see docs/RUNTIME.md);
+* :class:`~repro.net.tcp.TcpClientTransport` and
+  :class:`~repro.net.aio.AioClientTransport` — an instance's socket to
+  that server, serviced by a reader thread or by a shared event loop.
 
 The :class:`Transport` ABC is the explicit contract all of them implement:
 
@@ -32,8 +33,8 @@ instance (``isinstance(obj, TransportLike)`` works at runtime).
 Blocking request/reply interactions (CopyFrom, lock acquisition, …) are
 expressed through :meth:`Transport.drive`: "make progress until *predicate*
 becomes true or *timeout* elapses".  On the memory network this pumps the
-event queue (no real waiting); on TCP it waits on a condition variable fed
-by the receive thread.
+event queue (no real waiting); on sockets it waits on a condition variable
+fed by the reader thread or event loop.
 """
 
 from __future__ import annotations
@@ -329,8 +330,8 @@ class Transport(abc.ABC):
 
     def guard(self):
         """Context manager serializing application threads with handler
-        invocations.  A no-op on single-threaded transports; the TCP
-        transport overrides it with its condition lock."""
+        invocations.  A no-op on single-threaded transports; the socket
+        transports override it with their condition lock."""
         return contextlib.nullcontext()
 
     @property

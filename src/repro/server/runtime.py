@@ -1,12 +1,10 @@
 """The asyncio server runtime: an event loop hosting a sans-I/O endpoint.
 
 The paper's central server (Figure 4) serializes every callback event and
-couple update through one dispatch loop; the thread-per-connection TCP
-host pays for that serialization with lock contention across all its
-reader threads.  :class:`AsyncServerRuntime` keeps the serialization —
-the endpoint's ``handle_message`` only ever runs on the event-loop
-thread — but drops the threads: one loop accepts, reads, dispatches and
-writes for every connection, with outbound batching, bounded send queues
+couple update through one dispatch loop.  :class:`AsyncServerRuntime` is
+that loop: the endpoint's ``handle_message`` only ever runs on the
+event-loop thread, which accepts, reads, dispatches and writes for every
+connection, with outbound batching, bounded send queues
 and per-hop retry supplied by
 :class:`~repro.net.aio.AioHostTransport` (see docs/RUNTIME.md).
 

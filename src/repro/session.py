@@ -5,9 +5,9 @@ endpoint (server or sharded cluster), a network, and N application
 instances — so this module packages it behind **one** class::
 
     session = Session()                              # simulated network
-    session = Session(backend="tcp")                 # real TCP sockets
-    session = Session(backend="aio", shards=4)       # asyncio runtime,
-                                                     # 4-shard cluster
+    session = Session(backend="aio")                 # real sockets,
+                                                     # asyncio runtime
+    session = Session(backend="aio", shards=4)       # same, 4-shard cluster
 
 Backends
 --------
@@ -15,16 +15,15 @@ Backends
     Deterministic discrete-event simulation with a latency model — the
     default for tests and benchmarks.  :meth:`Session.pump` delivers all
     in-flight messages; time is simulated.
-``"tcp"``
-    Real localhost TCP sockets, one thread per connection (the paper's
-    implementation shape).
 ``"aio"``
-    The asyncio server runtime (:mod:`repro.server.runtime`): one event
-    loop, outbound batching, bounded send queues with backpressure, and
-    per-hop retry — see docs/RUNTIME.md.  Session-created instances join
-    the runtime's loop through :class:`~repro.net.aio.AioClientTransport`
-    (no reader thread per instance); the wire protocol is identical and
-    plain TCP clients interoperate.
+    Real localhost TCP sockets under the asyncio server runtime
+    (:mod:`repro.server.runtime`): one event loop, outbound batching,
+    bounded send queues with backpressure, and per-hop retry — see
+    docs/RUNTIME.md.  Session-created instances join the runtime's loop
+    through :class:`~repro.net.aio.AioClientTransport` (no reader thread
+    per instance); plain TCP clients
+    (:meth:`~repro.core.instance.ApplicationInstance.connect_tcp`) speak
+    the same wire protocol and interoperate.
 
 Every backend accepts ``shards=N`` to swap the single
 :class:`~repro.server.server.CosoftServer` for a
@@ -37,10 +36,6 @@ All knobs live on :class:`SessionConfig`; keyword arguments to
 
     session = Session(backend="aio", max_batch=128, backpressure="block")
     session = Session(config=SessionConfig(backend="memory", loss_rate=0.01))
-
-The pre-redesign entry points — ``LocalSession``, ``TcpSession``,
-``ClusterSession`` — remain as thin deprecated aliases and will be
-removed in a future release.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ import os
 import shutil
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -61,7 +55,6 @@ from repro.net.clock import SimClock
 from repro.net.codec import default_codec_name, default_wire_batching, get_codec
 from repro.net.memory import MemoryNetwork
 from repro.net.registry import BACKENDS, get_communicator
-from repro.net.tcp import TcpHostTransport
 from repro.net.transport import TrafficStats
 from repro.obs import (
     Observability,
@@ -77,7 +70,7 @@ from repro.server.server import SERVER_ID, CosoftServer
 ServerLike = Union[CosoftServer, ShardedCosoftCluster]
 
 # ``BACKENDS`` (re-exported from :mod:`repro.net.registry`) is a *live*
-# view of the communicator registry: the built-in trio plus anything
+# view of the communicator registry: the built-in pair plus anything
 # registered via ``register_communicator`` or the ``repro.communicators``
 # entry-point group (docs/COMMUNICATORS.md).
 
@@ -163,7 +156,7 @@ class SessionConfig:
     #: variable.
     codec: object = field(default_factory=default_codec_name)
     #: Batch-envelope wire path (docs/PROTOCOL.md): when true, every
-    #: multi-message flush on the socket backends leaves as one batch
+    #: multi-message flush on the aio backend leaves as one batch
     #: envelope instead of concatenated per-message frames, and the
     #: memory backend prices bytes accordingly.  Decoding is always
     #: transparent, so sessions with different settings interoperate.
@@ -218,7 +211,7 @@ class SessionConfig:
     seed: int = 0
     service_time: float = 0.0
 
-    # Socket backends (tcp, aio) --------------------------------------
+    # Socket backend (aio) -------------------------------------------
     host: str = "127.0.0.1"
     port: int = 0
 
@@ -423,9 +416,43 @@ class _BackendBase:
                 pass
         self.instances.clear()
 
+    def create_instance(
+        self,
+        instance_id: str,
+        user: str,
+        *,
+        app_type: str = "",
+        register: bool = True,
+        lock_timeout: float = 5.0,
+        request_timeout: float = 5.0,
+        replica_fast_path: bool = True,
+        delta_sync: Optional[bool] = None,
+    ) -> ApplicationInstance:
+        """Create, connect and (by default) register an instance."""
+        instance = self._connect(
+            ApplicationInstance(
+                instance_id,
+                user,
+                app_type=app_type,
+                correspondences=self.config.correspondences,
+                lock_timeout=lock_timeout,
+                request_timeout=request_timeout,
+                replica_fast_path=replica_fast_path,
+                delta_sync=(
+                    self.config.delta_sync if delta_sync is None else delta_sync
+                ),
+                observability=self.obs,
+                trace_maxlen=self.config.trace_maxlen,
+            )
+        )
+        self.instances[instance_id] = instance
+        if register:
+            instance.register()
+        return instance
+
     # Subclass responsibilities ---------------------------------------
 
-    def create_instance(self, instance_id, user, **kwargs) -> ApplicationInstance:
+    def _connect(self, instance: ApplicationInstance) -> ApplicationInstance:
         raise NotImplementedError
 
     def pump(self) -> int:
@@ -460,40 +487,11 @@ class _MemoryBackend(_BackendBase):
             config, clock=self.clock
         )
         self.server.bind(self.network.attach(SERVER_ID, self.server.handle_message))
-        self.correspondences = config.correspondences
         self.instances: Dict[str, ApplicationInstance] = {}
         self._init_observability(self.network.stats)
 
-    def create_instance(
-        self,
-        instance_id: str,
-        user: str,
-        *,
-        app_type: str = "",
-        register: bool = True,
-        lock_timeout: float = 5.0,
-        request_timeout: float = 5.0,
-        replica_fast_path: bool = True,
-        delta_sync: Optional[bool] = None,
-    ) -> ApplicationInstance:
-        instance = ApplicationInstance(
-            instance_id,
-            user,
-            app_type=app_type,
-            correspondences=self.correspondences,
-            lock_timeout=lock_timeout,
-            request_timeout=request_timeout,
-            replica_fast_path=replica_fast_path,
-            delta_sync=(
-                self.config.delta_sync if delta_sync is None else delta_sync
-            ),
-            observability=self.obs,
-            trace_maxlen=self.config.trace_maxlen,
-        ).connect(self.network)
-        self.instances[instance_id] = instance
-        if register:
-            instance.register()
-        return instance
+    def _connect(self, instance: ApplicationInstance) -> ApplicationInstance:
+        return instance.connect(self.network)
 
     def pump(self) -> int:
         """Deliver all in-flight messages; returns the delivery count."""
@@ -513,120 +511,9 @@ class _MemoryBackend(_BackendBase):
         self._close_persistence()
 
 
-class _SocketBackendBase(_BackendBase):
-    """Shared machinery of the real-socket backends (tcp, aio)."""
-
-    host: str
-    port: int
-
-    def create_instance(
-        self,
-        instance_id: str,
-        user: str,
-        *,
-        app_type: str = "",
-        register: bool = True,
-        lock_timeout: float = 5.0,
-        request_timeout: float = 5.0,
-        replica_fast_path: bool = True,
-        delta_sync: Optional[bool] = None,
-    ) -> ApplicationInstance:
-        instance = self._connect(
-            ApplicationInstance(
-                instance_id,
-                user,
-                app_type=app_type,
-                correspondences=self.config.correspondences,
-                lock_timeout=lock_timeout,
-                request_timeout=request_timeout,
-                replica_fast_path=replica_fast_path,
-                delta_sync=(
-                    self.config.delta_sync if delta_sync is None else delta_sync
-                ),
-                observability=self.obs,
-                trace_maxlen=self.config.trace_maxlen,
-            )
-        )
-        self.instances[instance_id] = instance
-        if register:
-            instance.register()
-        return instance
-
-    def _connect(self, instance: ApplicationInstance) -> ApplicationInstance:
-        return instance.connect_tcp(
-            self.host, self.port, codec=self.config.codec
-        )
-
-    def _server_stats(self) -> TrafficStats:
-        raise NotImplementedError
-
-    def pump(self, idle: float = 0.02, timeout: float = 2.0) -> int:
-        """Settle the deployment: wait until traffic is quiescent.
-
-        Real-socket backends cannot enumerate in-flight messages the way
-        the simulator can, so "pump" polls the server transport's
-        counters until they have been stable for *idle* seconds (or
-        *timeout* elapses).  Returns the number of server-side messages
-        that moved while settling.
-        """
-        stats = self._server_stats()
-
-        def probe() -> Tuple[int, int]:
-            return stats.messages, stats.dropped
-
-        start = probe()
-        last_change = time.monotonic()
-        last = start
-        deadline = last_change + timeout
-        while time.monotonic() < deadline:
-            time.sleep(0.002)
-            current = probe()
-            if current != last:
-                last = current
-                last_change = time.monotonic()
-            elif time.monotonic() - last_change >= idle:
-                break
-        return last[0] - start[0]
-
-    @property
-    def now(self) -> float:
-        return time.monotonic()
-
-    def traffic(self) -> Dict[str, object]:
-        """Server-side traffic counters (same fields as the simulator)."""
-        return self._server_stats().snapshot()
-
-
-class _TcpBackend(_SocketBackendBase):
-    """A deployment over real localhost TCP sockets (thread per conn)."""
-
-    def __init__(self, config: SessionConfig):
-        self.config = config
-        self.server, self._persist_ephemeral = _build_server(config)
-        self._host_transport = TcpHostTransport(
-            self.server.handle_message,
-            host=config.host,
-            port=config.port,
-            codec=config.codec,
-            wire_batching=config.wire_batching,
-        )
-        self.server.bind(self._host_transport)
-        self.host, self.port = self._host_transport.address
-        self.instances: Dict[str, ApplicationInstance] = {}
-        self._init_observability(self._host_transport.stats)
-
-    def _server_stats(self) -> TrafficStats:
-        return self._host_transport.stats
-
-    def close(self) -> None:
-        super().close()
-        self._host_transport.close()
-        self._close_persistence()
-
-
-class _AioBackend(_SocketBackendBase):
-    """A deployment under the asyncio server runtime (batching,
-    backpressure, per-hop retry — docs/RUNTIME.md)."""
+class _AioBackend(_BackendBase):
+    """A deployment over real localhost sockets under the asyncio server
+    runtime (batching, backpressure, per-hop retry — docs/RUNTIME.md)."""
 
     def __init__(self, config: SessionConfig):
         self.config = config
@@ -654,8 +541,41 @@ class _AioBackend(_SocketBackendBase):
             codec=self.config.codec,
         )
 
-    def _server_stats(self) -> TrafficStats:
-        return self.runtime.transport.stats
+    def pump(self, idle: float = 0.02, timeout: float = 2.0) -> int:
+        """Settle the deployment: wait until traffic is quiescent.
+
+        Real sockets cannot enumerate in-flight messages the way the
+        simulator can, so "pump" polls the server transport's counters
+        until they have been stable for *idle* seconds (or *timeout*
+        elapses).  Returns the number of server-side messages that moved
+        while settling.
+        """
+        stats = self.runtime.transport.stats
+
+        def probe() -> Tuple[int, int]:
+            return stats.messages, stats.dropped
+
+        start = probe()
+        last_change = time.monotonic()
+        last = start
+        deadline = last_change + timeout
+        while time.monotonic() < deadline:
+            time.sleep(0.002)
+            current = probe()
+            if current != last:
+                last = current
+                last_change = time.monotonic()
+            elif time.monotonic() - last_change >= idle:
+                break
+        return last[0] - start[0]
+
+    @property
+    def now(self) -> float:
+        return time.monotonic()
+
+    def traffic(self) -> Dict[str, object]:
+        """Server-side traffic counters (same fields as the simulator)."""
+        return self.runtime.transport.stats.snapshot()
 
     def close(self) -> None:
         super().close()
@@ -683,7 +603,8 @@ class Session:
     Parameters
     ----------
     backend:
-        ``"memory"`` (default), ``"tcp"`` or ``"aio"``.
+        ``"memory"`` (default), ``"aio"``, or any name registered with
+        :func:`~repro.net.registry.register_communicator`.
     config:
         A ready-made :class:`SessionConfig`.  Mutually exclusive with the
         keyword conveniences below.
@@ -757,7 +678,7 @@ class Session:
 
     @property
     def now(self) -> float:
-        """Simulated seconds (memory) or wall-clock seconds (tcp/aio)."""
+        """Simulated seconds (memory) or wall-clock seconds (aio)."""
         return self._impl.now
 
     def create_instance(
@@ -771,7 +692,7 @@ class Session:
         self._impl.drop_instance(instance_id)
 
     def pump(self, **kwargs: object) -> int:
-        """Drain in-flight messages (memory) / settle traffic (tcp, aio)."""
+        """Drain in-flight messages (memory) / settle traffic (aio)."""
         return self._impl.pump(**kwargs)
 
     def traffic(self) -> Dict[str, object]:
@@ -844,50 +765,7 @@ class Session:
             ) from None
 
 
-# ---------------------------------------------------------------------------
-# Deprecated aliases (pre-redesign entry points)
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    # FutureWarning (visible by default, unlike DeprecationWarning): the
-    # aliases are in their final release cycle before removal.
-    warnings.warn(
-        f"{old} is deprecated and will be removed; use {new}",
-        FutureWarning,
-        stacklevel=3,
-    )
-
-
-class LocalSession(Session):
-    """Deprecated alias for ``Session(backend="memory")``."""
-
-    def __init__(self, **kwargs: object):
-        _deprecated("LocalSession", 'Session(backend="memory")')
-        super().__init__(backend="memory", **kwargs)  # type: ignore[arg-type]
-
-
-class ClusterSession(Session):
-    """Deprecated alias for ``Session(backend="memory", shards=N)``."""
-
-    def __init__(self, shards: int = 2, **kwargs: object):
-        _deprecated("ClusterSession", 'Session(backend="memory", shards=N)')
-        if shards <= 0:
-            raise ValueError("ClusterSession needs at least one shard")
-        super().__init__(backend="memory", shards=shards, **kwargs)  # type: ignore[arg-type]
-
-
-class TcpSession(Session):
-    """Deprecated alias for ``Session(backend="tcp")``."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *, shards: int = 0):
-        _deprecated("TcpSession", 'Session(backend="tcp")')
-        super().__init__(backend="tcp", host=host, port=port, shards=shards)
-
-
 #: The supported public surface of this module (README "Public API").
-#: The deprecated aliases stay importable until their announced removal
-#: but are deliberately not part of it.
 __all__ = [
     "BACKENDS",
     "ServerLike",

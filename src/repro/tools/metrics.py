@@ -23,6 +23,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.net.registry import BACKENDS
 from repro.session import Session
 from repro.toolkit import Form, Shell, TextField
 
@@ -90,7 +91,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("memory", "tcp", "aio"),
+        choices=tuple(BACKENDS),
         default="memory",
         help="session backend to exercise (default: memory)",
     )

@@ -7,12 +7,12 @@ from repro.apps.classroom import (
     TeacherEnvironment,
     couple_simulation_directly,
 )
-from repro.session import LocalSession
+from repro.session import Session
 
 
 @pytest.fixture
 def classroom():
-    session = LocalSession()
+    session = Session()
     teacher = TeacherEnvironment(
         session.create_instance("teacher", user="hoppe")
     )
@@ -123,7 +123,7 @@ class TestDirectCoupling:
         """The E9 claim, asserted qualitatively at unit-test scale."""
 
         def run(indirect):
-            session = LocalSession()
+            session = Session()
             try:
                 teacher = TeacherEnvironment(
                     session.create_instance("teacher", user="t")

@@ -7,12 +7,12 @@ from repro.apps.control_panel import (
     CouplingControlPanel,
     enable_panel_introspection,
 )
-from repro.session import LocalSession
+from repro.session import Session
 
 
 @pytest.fixture
 def classroom():
-    session = LocalSession()
+    session = Session()
     teacher_inst = session.create_instance(
         "liveboard", user="teacher", app_type="cosoft-teacher"
     )

@@ -7,12 +7,12 @@ from repro.apps.classroom import (
     StudentEnvironment,
     TeacherEnvironment,
 )
-from repro.session import LocalSession
+from repro.session import Session
 
 
 @pytest.fixture
 def room():
-    session = LocalSession()
+    session = Session()
     teacher = TeacherEnvironment(
         session.create_instance("teacher", user="t", app_type="cosoft-teacher")
     )

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.apps.drawing import Whiteboard
-from repro.session import LocalSession
+from repro.session import Session
 
 
 @pytest.fixture
 def boards():
-    session = LocalSession()
+    session = Session()
     boards = [
         Whiteboard(session.create_instance(f"wb-{i}", user=f"u{i}"))
         for i in range(3)

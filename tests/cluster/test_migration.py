@@ -7,7 +7,7 @@ from repro.server.couples import CoupleLink
 from repro.server.history import HistoricalState
 from repro.server.locks import LockOwner
 from repro.server.server import CosoftServer
-from repro.session import ClusterSession
+from repro.session import Session
 from repro.toolkit.widgets import Shell, TextField
 
 
@@ -132,7 +132,7 @@ class TestMigrateMessages:
 class TestLiveHistoryMigration:
     def test_undo_history_survives_a_group_move(self):
         """Merging a 2-group into a 3-group moves its history with it."""
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         instances = {}
         trees = {}

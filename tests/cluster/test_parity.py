@@ -4,21 +4,21 @@ The acceptance bar for sharding: two instances coupled across shards must
 see *identical event ordering and final UI state* as against a single
 server.  Canvas strokes make ordering observable — the stroke list is the
 exact sequence of applied DRAW events — so the scenario runs against a
-plain ``LocalSession`` and against clusters of several sizes, and every
-deployment must produce byte-identical results.
+plain single-server ``Session`` and against clusters of several sizes, and
+every deployment must produce byte-identical results.
 """
 
 import pytest
 
-from repro.session import ClusterSession, LocalSession
+from repro.session import Session
 from repro.toolkit.widgets import Canvas, Shell, TextField
 
 DEPLOYMENTS = [
-    pytest.param(lambda: LocalSession(), id="single-server"),
-    pytest.param(lambda: ClusterSession(shards=1), id="cluster-1"),
-    pytest.param(lambda: ClusterSession(shards=2), id="cluster-2"),
-    pytest.param(lambda: ClusterSession(shards=4), id="cluster-4"),
-    pytest.param(lambda: ClusterSession(shards=8), id="cluster-8"),
+    pytest.param(lambda: Session(), id="single-server"),
+    pytest.param(lambda: Session(shards=1), id="cluster-1"),
+    pytest.param(lambda: Session(shards=2), id="cluster-2"),
+    pytest.param(lambda: Session(shards=4), id="cluster-4"),
+    pytest.param(lambda: Session(shards=8), id="cluster-8"),
 ]
 
 
@@ -89,7 +89,7 @@ BASELINE = None
 def baseline():
     global BASELINE
     if BASELINE is None:
-        BASELINE = run_scenario(lambda: LocalSession())
+        BASELINE = run_scenario(lambda: Session())
     return BASELINE
 
 
@@ -118,7 +118,7 @@ def test_replicas_converge_within_each_deployment(make_session):
 
 
 def test_the_scenario_actually_migrates_on_two_shards():
-    result = run_scenario(lambda: ClusterSession(shards=2))
+    result = run_scenario(lambda: Session(shards=2))
     # a:/ui/board and b:/ui/board hash to different 2-shard homes (stable
     # BLAKE2b placement), so stage 1 must have migrated at least once.
     assert result["_migrations"] >= 1

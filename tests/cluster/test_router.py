@@ -5,7 +5,7 @@ from repro.cluster import ShardedCosoftCluster
 from repro.net import kinds
 from repro.net.message import Message
 from repro.net.transport import TrafficStats, Transport
-from repro.session import ClusterSession
+from repro.session import Session
 from repro.toolkit.widgets import Shell, TextField
 
 
@@ -143,7 +143,7 @@ class TestUnsupportedKind:
 
 class TestPermissions:
     def test_rule_lands_on_every_shard_with_one_reply(self):
-        session = ClusterSession(shards=3)
+        session = Session(shards=3)
         a = session.create_instance("a", user="u1")
         from repro.server.permissions import PermissionRule
 
@@ -161,7 +161,7 @@ class TestPermissions:
 
 class TestRoutingAndMigration:
     def test_cross_shard_couple_migrates_the_smaller_group(self):
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         # Pick two instance ids whose objects hash to different shards so
         # the couple below is guaranteed to cross them.
@@ -190,7 +190,7 @@ class TestRoutingAndMigration:
         session.close()
 
     def test_same_shard_couple_does_not_migrate(self):
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         gid = lambda iid: (iid, "/ui/f")
         candidates = [chr(ord("a") + i) for i in range(10)]
@@ -211,7 +211,7 @@ class TestRoutingAndMigration:
         session.close()
 
     def test_events_flow_through_the_owning_shard_only(self):
-        session = ClusterSession(shards=4)
+        session = Session(shards=4)
         cluster = session.cluster
         a = session.create_instance("a", user="u1")
         b = session.create_instance("b", user="u2")
@@ -236,7 +236,7 @@ class TestRoutingAndMigration:
         session.close()
 
     def test_decouple_returns_group_to_ring_placement(self):
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         a = session.create_instance("a", user="u1")
         b = session.create_instance("b", user="u2")
@@ -293,7 +293,7 @@ class TestFreezeBuffer:
 
 class TestStats:
     def test_shard_traffic_merges_per_shard_transports(self):
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         session.create_instance("a", user="u1")
         session.create_instance("b", user="u2")
@@ -334,7 +334,7 @@ class TestStats:
         def makespan(shards):
             # Service must dwarf the simulated network latency so queueing
             # (not message timing) dominates the modeled busy periods.
-            session = ClusterSession(shards=shards, service_time=1.0)
+            session = Session(shards=shards, service_time=1.0)
             cluster = session.cluster
             instances = {}
             for i in range(8):

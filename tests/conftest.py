@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.core.instance import ApplicationInstance
 from repro.session import Session
 from repro.toolkit import (
     Canvas,
@@ -38,6 +39,22 @@ def pair(session):
     a = session.create_instance("a", user="alice")
     b = session.create_instance("b", user="bob")
     return session, a, b
+
+
+def join_tcp(session, instance_id: str, user: str) -> ApplicationInstance:
+    """Join a socket session through the plain TCP interop client.
+
+    The instance runs its own reader thread
+    (:meth:`ApplicationInstance.connect_tcp`) instead of sharing the
+    runtime's loop the way ``session.create_instance`` does; it is
+    registered and handed to the session, which closes it at teardown.
+    """
+    instance = ApplicationInstance(instance_id, user).connect_tcp(
+        session.host, session.port, codec=session.config.codec
+    )
+    session.instances[instance_id] = instance
+    instance.register()
+    return instance
 
 
 def make_demo_tree(root_name: str = "app") -> Shell:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.groups import CouplingGroup
 from repro.errors import CouplingError
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.widgets import Scale, Shell, TextField
 
 FIELD = "/ui/field"
@@ -20,7 +20,7 @@ def build_tree():
 
 @pytest.fixture
 def arena():
-    session = LocalSession()
+    session = Session()
     trees = {}
     for i in range(4):
         inst = session.create_instance(f"i{i}", user=f"u{i}")

@@ -13,7 +13,7 @@ import pytest
 from repro.core.instance import ApplicationInstance
 from repro.session import Session
 
-from conftest import make_demo_tree
+from conftest import join_tcp, make_demo_tree
 
 FIELD = "/app/form/name"
 
@@ -55,9 +55,10 @@ def drive_mixed_fleet(session, connect):
 
 @pytest.mark.parametrize("server_codec", ["json", "binary"])
 def test_tcp_mixed_fleet(server_codec):
-    with Session(backend="tcp", codec=server_codec) as session:
+    with Session(backend="aio", codec=server_codec) as session:
         drive_mixed_fleet(
             session,
+            # The plain-socket interop client, one reader thread.
             lambda inst, codec: inst.connect_tcp(
                 session.host, session.port, codec=codec
             ),
@@ -78,9 +79,10 @@ def test_aio_mixed_fleet(server_codec):
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_tcp_binary_sharded_cluster(shards):
-    with Session(backend="tcp", codec="binary", shards=shards) as session:
-        a = session.create_instance("a", user="u1")
-        b = session.create_instance("b", user="u2")
+    """Plain TCP clients speaking binary to a sharded aio cluster."""
+    with Session(backend="aio", codec="binary", shards=shards) as session:
+        a = join_tcp(session, "a", "u1")
+        b = join_tcp(session, "b", "u2")
         tree_a = a.add_root(make_demo_tree())
         tree_b = b.add_root(make_demo_tree())
         assert wait_until(lambda: "b" in a.roster and "a" in b.roster)
@@ -93,16 +95,14 @@ def test_tcp_binary_sharded_cluster(shards):
 def test_server_answers_each_peer_in_its_own_codec():
     """Inspect the host transport: after a mixed fleet registers, the
     negotiated per-peer codec map holds one entry per foreign peer."""
-    with Session(backend="tcp", codec="binary") as session:
+    with Session(backend="aio", codec="binary") as session:
         session.create_instance("bin-client", user="u1")
         json_client = ApplicationInstance("json-client", "u2")
         json_client.connect_tcp(session.host, session.port, codec="json")
         json_client.register()
         try:
-            assert wait_until(
-                lambda: "json-client" in session._impl._host_transport.connections()
-            )
-            host = session._impl._host_transport
+            host = session.runtime.transport
+            assert wait_until(lambda: "json-client" in host.connections())
             assert wait_until(
                 lambda: host._peer_codecs.get("json-client") is not None
             )

@@ -10,7 +10,7 @@ import pytest
 from repro.net import kinds
 from repro.net.message import Message
 from repro.server.couples import gid_to_wire
-from repro.session import LocalSession
+from repro.session import Session
 
 from conftest import make_demo_tree
 
@@ -20,7 +20,7 @@ SCALE = "/app/board/zoom"
 
 @pytest.fixture
 def arena():
-    session = LocalSession()
+    session = Session()
     instances, trees = [], []
     for name in ("a", "b", "c"):
         inst = session.create_instance(name, user=f"user-{name}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Shell, TextField
 
@@ -11,7 +11,7 @@ from conftest import make_demo_tree
 
 @pytest.fixture
 def trio():
-    session = LocalSession()
+    session = Session()
     instances = []
     trees = []
     for name in ("a", "b", "c"):

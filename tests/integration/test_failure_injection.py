@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.session import LocalSession
+from repro.session import Session
 
 from conftest import make_demo_tree
 
@@ -13,7 +13,7 @@ class TestLossyNetwork:
     def test_lock_reply_loss_causes_denial_and_rollback(self):
         """If the lock reply never arrives, the client treats the event as
         denied and undoes the feedback — the UI never wedges."""
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1", lock_timeout=0.05)
             b = session.create_instance("b", user="u2")
@@ -31,7 +31,7 @@ class TestLossyNetwork:
             session.close()
 
     def test_recovery_after_partition_heals(self):
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1", lock_timeout=0.05)
             b = session.create_instance("b", user="u2")
@@ -49,7 +49,7 @@ class TestLossyNetwork:
             session.close()
 
     def test_stale_lock_released_when_holder_unregisters(self):
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
@@ -69,7 +69,7 @@ class TestLossyNetwork:
             session.close()
 
     def test_copy_from_timeout_raises_cleanly(self):
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
@@ -85,7 +85,7 @@ class TestLossyNetwork:
             session.close()
 
     def test_event_to_departed_instance_dropped_silently(self):
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
@@ -104,7 +104,7 @@ class TestLossyNetwork:
 class TestJitterAndLoad:
     def test_convergence_under_jitter(self):
         """Per-link FIFO keeps replicas convergent despite jitter."""
-        session = LocalSession(jitter=0.01, seed=99)
+        session = Session(jitter=0.01, seed=99)
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
@@ -123,7 +123,7 @@ class TestJitterAndLoad:
         """Same seed, same workload -> byte-identical traffic counts."""
 
         def run(seed):
-            session = LocalSession(jitter=0.005, seed=seed)
+            session = Session(jitter=0.005, seed=seed)
             try:
                 a = session.create_instance("a", user="u1")
                 b = session.create_instance("b", user="u2")

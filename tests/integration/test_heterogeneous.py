@@ -9,7 +9,7 @@ different applications." (§2.2)
 import pytest
 
 from repro.core.compat import CorrespondenceRegistry
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.builder import build
 from repro.toolkit.widgets import Form, Label, Scale, Shell, TextField
 
@@ -23,7 +23,7 @@ def corr():
 
 @pytest.fixture
 def session(corr):
-    sess = LocalSession(correspondences=corr)
+    sess = Session(correspondences=corr)
     yield sess
     sess.close()
 
@@ -70,7 +70,7 @@ class TestCrossApplicationCoupling:
         assert mon_tree.find("view/display").get("text") == "status: ready"
 
     def test_cross_type_copy_without_correspondence_fails(self):
-        session = LocalSession()  # no correspondences declared
+        session = Session()  # no correspondences declared
         try:
             editor = session.create_instance("ed", user="u1")
             monitor = session.create_instance("mon", user="u2")

@@ -4,7 +4,7 @@ The optimizations cut *traffic*, never *meaning*: the same deterministic
 workload — coupling churn, multi-writer coupled edits, repeated CopyTo
 transfers — must land on the identical final UI state and per-replica
 event order whether routing is scope-"all" broadcast or interest-scoped,
-delta sync on or off, across memory/tcp/aio backends and 1/2/4 shards.
+delta sync on or off, across memory/aio backends and 1/2/4 shards.
 """
 
 import time
@@ -155,8 +155,8 @@ class TestScopedRoutingParity:
 class TestCrossBackendParity:
     @pytest.mark.parametrize(
         "backend,shards",
-        [("tcp", 0), ("tcp", 2), ("aio", 0), ("aio", 4)],
-        ids=["tcp-1shard", "tcp-2shard", "aio-1shard", "aio-4shard"],
+        [("aio", 0), ("aio", 4)],
+        ids=["aio-1shard", "aio-4shard"],
     )
     def test_socket_backends_match_reference(self, backend, shards):
         ref, _ = reference()

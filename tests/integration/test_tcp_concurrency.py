@@ -1,16 +1,19 @@
 """Thread-safety of the coupling runtime over TCP.
 
-Over TCP, each instance's inbound messages arrive on a reader thread while
-the application fires events from its own thread; the transport's guard
-serializes them.  These tests hammer that boundary.
+Over the plain TCP client, each instance's inbound messages arrive on a
+reader thread while the application fires events from its own thread; the
+transport's guard serializes them.  These tests hammer that boundary,
+against the asyncio server runtime.
 """
 
 import threading
 import time
 
 
-from repro.session import TcpSession
+from repro.session import Session
 from repro.toolkit.widgets import Canvas, Shell, TextField
+
+from conftest import join_tcp
 
 FIELD = "/ui/field"
 CANVAS = "/ui/canvas"
@@ -34,9 +37,9 @@ def wait_until(predicate, timeout=10.0):
 
 class TestTcpConcurrency:
     def test_two_threads_firing_concurrently_converge_as_sets(self):
-        with TcpSession() as session:
-            a = session.create_instance("a", user="u1")
-            b = session.create_instance("b", user="u2")
+        with Session(backend="aio") as session:
+            a = join_tcp(session, "a", user="u1")
+            b = join_tcp(session, "b", user="u2")
             ta = a.add_root(build_tree())
             tb = b.add_root(build_tree())
             a.couple(ta.find(CANVAS), ("b", CANVAS))
@@ -75,9 +78,9 @@ class TestTcpConcurrency:
             assert strokes_a == strokes_b
 
     def test_single_writer_many_events_under_reader_thread(self):
-        with TcpSession() as session:
-            a = session.create_instance("a", user="u1")
-            b = session.create_instance("b", user="u2")
+        with Session(backend="aio") as session:
+            a = join_tcp(session, "a", user="u1")
+            b = join_tcp(session, "b", user="u2")
             ta = a.add_root(build_tree())
             tb = b.add_root(build_tree())
             a.couple(ta.find(FIELD), ("b", FIELD))
@@ -88,9 +91,9 @@ class TestTcpConcurrency:
             assert a.stats["lock_denials"] == 0
 
     def test_bidirectional_commands_during_events(self):
-        with TcpSession() as session:
-            a = session.create_instance("a", user="u1")
-            b = session.create_instance("b", user="u2")
+        with Session(backend="aio") as session:
+            a = join_tcp(session, "a", user="u1")
+            b = join_tcp(session, "b", user="u2")
             ta = a.add_root(build_tree())
             b.add_root(build_tree())
             a.couple(ta.find(FIELD), ("b", FIELD))

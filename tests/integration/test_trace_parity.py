@@ -3,8 +3,8 @@
 The trace of one deterministic workload is a *semantic* artifact: the
 same user action must traverse the same causal hops — lock wait, floor,
 receive, broadcast, remote apply — whether the deployment runs on the
-in-memory simulator, blocking TCP threads or the asyncio runtime, and
-however many shards the cluster has.  Canonical trees
+in-memory simulator or the asyncio runtime, and however many shards the
+cluster has.  Canonical trees
 (:meth:`SpanRecorder.canonical_tree`) strip timestamps and endpoints,
 keeping only names and causal structure, so they must compare equal.
 """
@@ -20,7 +20,7 @@ from conftest import make_demo_tree
 
 FIELD = "/app/form/name"
 
-BACKENDS = ("memory", "tcp", "aio")
+BACKENDS = ("memory", "aio")
 SHARD_COUNTS = (1, 2, 4)
 
 N_EDITS = 3

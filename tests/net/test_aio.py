@@ -401,9 +401,12 @@ class TestAioHostTransport:
             assert wait_until(lambda: "slow" not in transport.connections())
             for i in range(8):
                 transport.send(msg(to="slow", seq=i))
-            assert wait_until(
-                lambda: transport.stats.drops_by_reason[DROP_DISCONNECTED] >= 4
-            )
+            # Sends reach the loop one callback at a time: the 4th
+            # overflows and evicts 1-4, then 5-7 refill the queue until
+            # the 8th evicts again.  Only the final state is stable, so
+            # wait for all eight drops before looking at the queue.
+            drops = transport.stats.drops_by_reason
+            assert wait_until(lambda: drops[DROP_DISCONNECTED] == 8)
             assert transport.pending("slow") == 0  # queue drained on evict
         finally:
             client.close()

@@ -29,16 +29,14 @@ def scratch_name():
 
 
 class TestBuiltins:
-    def test_builtin_trio_registered(self):
-        names = communicator_names()
-        for builtin in ("memory", "tcp", "aio"):
-            assert builtin in names
+    def test_builtins_registered(self):
+        assert communicator_names()[:2] == ("memory", "aio")
+        assert not has_communicator("tcp")
 
     def test_builtins_resolve_lazily_to_session_backends(self):
         import repro.session as session_mod
 
         assert get_communicator("memory") is session_mod._MemoryBackend
-        assert get_communicator("tcp") is session_mod._TcpBackend
         assert get_communicator("aio") is session_mod._AioBackend
 
     def test_specs_expose_sources(self):
@@ -133,7 +131,7 @@ class TestLiveBackendsView:
         assert session_mod.BACKENDS is BACKENDS
 
     def test_tuple_compat(self):
-        assert len(BACKENDS) >= 3
+        assert len(BACKENDS) >= 2
         assert BACKENDS[0] == "memory"
         assert BACKENDS == tuple(BACKENDS)
 

@@ -1,18 +1,32 @@
-"""Tests for the TCP transport (real localhost sockets)."""
+"""Tests for the plain TCP client transport (real localhost sockets).
+
+Every client here runs against the asyncio host, the one socket server:
+the plain client is the interop path a foreign instance uses to join it.
+"""
 
 import threading
 import time
 
 import pytest
 
-from repro.errors import DeliveryError, TransportClosedError
+from repro.errors import TransportClosedError
 from repro.net import kinds
+from repro.net.aio import AioHostTransport
 from repro.net.message import Message
-from repro.net.tcp import TcpClientTransport, TcpHostTransport
+from repro.net.tcp import TcpClientTransport
 
 
 def msg(sender, to="", **payload):
     return Message(kind=kinds.COMMAND, sender=sender, to=to, payload=payload)
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
 
 
 class Collector:
@@ -28,7 +42,7 @@ class Collector:
 @pytest.fixture
 def host():
     inbox = Collector()
-    transport = TcpHostTransport(inbox, port=0)
+    transport = AioHostTransport(inbox, port=0)
     yield transport, inbox
     transport.close()
 
@@ -58,11 +72,6 @@ class TestTcpTransport:
             assert client_inbox.received[0].payload == {"pong": True}
         finally:
             client.close()
-
-    def test_send_to_unknown_client_raises(self, host):
-        transport, _ = host
-        with pytest.raises(DeliveryError):
-            transport.send(msg("server", to="ghost"))
 
     def test_many_messages_preserve_order(self, host):
         transport, inbox = host
@@ -147,8 +156,9 @@ class TestTcpTransport:
 
 
 class TestWireBatchingBurst:
-    """With ``wire_batching`` on, replies emitted while dispatching one
-    inbound read coalesce into a single batch-envelope write."""
+    """With ``wire_batching`` on, replies the host handler emits while
+    dispatching one inbound read coalesce into a single batch-envelope
+    write, which the plain client decodes transparently."""
 
     def test_handler_replies_leave_as_one_envelope(self):
         transport = None
@@ -166,7 +176,7 @@ class TestWireBatchingBurst:
                     )
                 )
 
-        transport = TcpHostTransport(fan_out, port=0, wire_batching=True)
+        transport = AioHostTransport(fan_out, port=0, wire_batching=True)
         client_inbox = Collector()
         client = None
         try:
@@ -180,6 +190,9 @@ class TestWireBatchingBurst:
                 0, 1, 2, 3,
             ]
             stats = transport.stats
+            # Accounting lands right after the write, a beat after the
+            # client can observe delivery — wait for it.
+            assert wait_until(lambda: stats.batched_messages == 4)
             assert stats.envelopes == 1
             assert stats.envelope_messages == 4
             assert stats.batches == 1
@@ -204,7 +217,7 @@ class TestWireBatchingBurst:
                     )
                 )
 
-        transport = TcpHostTransport(echo_twice, port=0)
+        transport = AioHostTransport(echo_twice, port=0)
         client_inbox = Collector()
         client = None
         try:
@@ -215,6 +228,7 @@ class TestWireBatchingBurst:
             while len(client_inbox.received) < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert len(client_inbox.received) == 2
+            assert wait_until(lambda: transport.stats.batched_messages == 2)
             assert transport.stats.envelopes == 0
         finally:
             if client is not None:

@@ -9,7 +9,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.widgets import OptionMenu, Scale, Shell, TextField
 
 N_INSTANCES = 3
@@ -43,7 +43,7 @@ PATHS = {"field": FIELD, "menu": MENU, "scale": SCALE}
 
 
 def build_session(seed):
-    session = LocalSession(jitter=0.002, seed=seed)
+    session = Session(jitter=0.002, seed=seed)
     trees = []
     for i in range(N_INSTANCES):
         inst = session.create_instance(f"i{i}", user=f"u{i}")

@@ -1,35 +1,35 @@
-"""Tests for the session harnesses (LocalSession / TcpSession)."""
+"""Tests for the Session harness on the memory and aio backends."""
 
 import pytest
 
 from repro.errors import ServerError
 from repro.server.server import SERVER_ID
-from repro.session import LocalSession, TcpSession
+from repro.session import Session
 from repro.toolkit.widgets import Shell, TextField
 
 
-class TestLocalSession:
+class TestMemorySession:
     def test_server_attached_and_bound(self):
-        session = LocalSession()
+        session = Session()
         assert SERVER_ID in session.network.endpoints()
         session.close()
 
     def test_create_instance_registers_by_default(self):
-        session = LocalSession()
+        session = Session()
         inst = session.create_instance("x", user="u")
         assert inst.registered
         assert "x" in session.server.registry
         session.close()
 
     def test_create_instance_without_register(self):
-        session = LocalSession()
+        session = Session()
         inst = session.create_instance("x", user="u", register=False)
         assert not inst.registered
         assert "x" not in session.server.registry
         session.close()
 
     def test_drop_instance(self):
-        session = LocalSession()
+        session = Session()
         session.create_instance("x", user="u")
         session.drop_instance("x")
         assert "x" not in session.instances
@@ -38,32 +38,32 @@ class TestLocalSession:
         session.close()
 
     def test_traffic_snapshot(self):
-        session = LocalSession()
+        session = Session()
         session.create_instance("x", user="u")
         traffic = session.traffic()
         assert traffic["messages"] >= 2  # register + ack
         session.close()
 
     def test_now_tracks_clock(self):
-        session = LocalSession(base_latency=0.5)
+        session = Session(base_latency=0.5)
         session.create_instance("x", user="u")
         assert session.now >= 1.0  # register round trip
         session.close()
 
     def test_close_unregisters_everyone(self):
-        session = LocalSession()
+        session = Session()
         session.create_instance("x", user="u")
         session.create_instance("y", user="v")
         session.close()
         assert len(session.server.registry) == 0
 
     def test_ack_release_flag_plumbs_through(self):
-        session = LocalSession(ack_release=False)
+        session = Session(ack_release=False)
         assert session.server.ack_release is False
         session.close()
 
     def test_default_deny_policy(self):
-        session = LocalSession(default_allow=False)
+        session = Session(default_allow=False)
         a = session.create_instance("a", user="u1")
         b = session.create_instance("b", user="u2")
         tree_a = a.add_root(Shell("ui"))
@@ -76,7 +76,7 @@ class TestLocalSession:
 
     def test_seed_controls_determinism(self):
         def run(seed):
-            session = LocalSession(jitter=0.01, seed=seed)
+            session = Session(jitter=0.01, seed=seed)
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
             ta = a.add_root(Shell("ui"))
@@ -96,9 +96,9 @@ class TestLocalSession:
         assert run(1) != run(2)
 
 
-class TestTcpSession:
+class TestSocketSession:
     def test_context_manager_and_roundtrip(self):
-        with TcpSession() as session:
+        with Session(backend="aio") as session:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
             b.on_command("echo", lambda data, sender: data)
@@ -106,11 +106,11 @@ class TestTcpSession:
                                   want_reply=True) == "ping"
 
     def test_port_assigned(self):
-        with TcpSession() as session:
+        with Session(backend="aio") as session:
             assert session.port > 0
 
     def test_close_tolerates_dead_instances(self):
-        session = TcpSession()
+        session = Session(backend="aio")
         inst = session.create_instance("a", user="u")
         inst.transport.close()  # simulate a crash
         session.close()  # must not raise

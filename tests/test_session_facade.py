@@ -1,17 +1,12 @@
-"""Tests for the unified Session facade and the deprecated aliases."""
+"""Tests for the unified Session facade."""
 
 import time
 
 import pytest
 
+from repro.errors import UnknownCommunicatorError
 from repro.net.aio import BatchConfig
-from repro.session import (
-    ClusterSession,
-    LocalSession,
-    Session,
-    SessionConfig,
-    TcpSession,
-)
+from repro.session import Session, SessionConfig
 
 
 def wait_until(predicate, timeout=5.0):
@@ -34,6 +29,13 @@ class TestSessionConfig:
         with pytest.raises(ValueError):
             SessionConfig(backend="carrier-pigeon")
 
+    def test_threaded_tcp_backend_is_gone(self):
+        # The error names the backends that remain.
+        with pytest.raises(UnknownCommunicatorError) as excinfo:
+            Session(backend="tcp")
+        assert excinfo.value.known[:2] == ("memory", "aio")
+        assert "tcp" not in excinfo.value.known
+
     def test_rejects_negative_shards(self):
         with pytest.raises(ValueError):
             SessionConfig(shards=-1)
@@ -52,8 +54,8 @@ class TestSessionConstruction:
 
     def test_backend_argument_overrides_config(self):
         config = SessionConfig(backend="memory")
-        with Session("tcp", config=config) as session:
-            assert session.backend == "tcp"
+        with Session("aio", config=config) as session:
+            assert session.backend == "aio"
         # The caller's config object is not mutated.
         assert config.backend == "memory"
 
@@ -123,48 +125,3 @@ class TestTrafficShapeParity:
             aio_session.pump()
             aio_keys = set(aio_session.traffic())
         assert memory_keys == aio_keys
-
-
-class TestDeprecatedAliases:
-    def test_local_session_warns_and_works(self):
-        with pytest.warns(FutureWarning, match="LocalSession"):
-            session = LocalSession(seed=3)
-        try:
-            assert session.backend == "memory"
-            assert session.config.seed == 3
-            a = session.create_instance("a", user="u1")
-            session.pump()
-            assert "a" in a.roster
-        finally:
-            session.close()
-
-    def test_cluster_session_warns_and_builds_cluster(self):
-        with pytest.warns(FutureWarning, match="ClusterSession"):
-            session = ClusterSession(shards=3)
-        try:
-            assert session.cluster is not None
-            assert len(session.cluster.shards) == 3
-        finally:
-            session.close()
-
-    def test_cluster_session_rejects_zero_shards(self):
-        with pytest.warns(FutureWarning):
-            with pytest.raises(ValueError):
-                ClusterSession(shards=0)
-
-    def test_tcp_session_warns_and_keeps_signature(self):
-        with pytest.warns(FutureWarning, match="TcpSession"):
-            session = TcpSession("127.0.0.1", 0)
-        try:
-            assert session.backend == "tcp"
-            assert session.port != 0
-        finally:
-            session.close()
-
-    def test_aliases_are_sessions(self):
-        with pytest.warns(FutureWarning):
-            session = LocalSession()
-        try:
-            assert isinstance(session, Session)
-        finally:
-            session.close()
