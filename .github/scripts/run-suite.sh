@@ -19,8 +19,13 @@ case "$suite" in
     # The same suite with every Session running on the asyncio server
     # runtime (batching, backpressure, per-hop retry) instead of the
     # simulated in-memory network — proves the backend is a drop-in for
-    # the whole protocol surface.
+    # the whole protocol surface.  The socket-layer tests then run again
+    # with leaks as errors: an event loop, transport or socket left open
+    # fails the suite.
     REPRO_BACKEND=aio python -m pytest -x -q
+    REPRO_BACKEND=aio python -m pytest tests/net -x -q \
+      -W error::ResourceWarning \
+      -W error::pytest.PytestUnraisableExceptionWarning
     ;;
   observability)
     # The same suite with observability on for every Session (metrics

@@ -506,7 +506,7 @@ def run_contention(n_users=CONTENTION_USERS, rounds=CONTENTION_ROUNDS):
             if session.cluster is None:
                 return len(session.server.locks) == 0
             return all(
-                len(shard.locks) == 0
+                len(shard.server.locks) == 0
                 for shard in session.cluster.shards.values()
             )
 
@@ -515,7 +515,7 @@ def run_contention(n_users=CONTENTION_USERS, rounds=CONTENTION_ROUNDS):
             locks_left = len(session.server.locks)
         else:
             locks_left = sum(
-                len(shard.locks) for shard in session.cluster.shards.values()
+                len(shard.server.locks) for shard in session.cluster.shards.values()
             )
         return {
             "attempts_per_s": (n_users * rounds) / elapsed,

@@ -122,7 +122,7 @@ def run_contention(shards):
     }
     if shards:
         locks_left = sum(
-            len(shard.locks) for shard in harness.server.shards.values()
+            len(shard.server.locks) for shard in harness.server.shards.values()
         )
     else:
         locks_left = len(harness.server.locks)

@@ -11,29 +11,29 @@ wire batching apply to the shard hop like any other connection).
 Threading model
 ---------------
 The router core (``ShardedCosoftCluster``) is a sans-I/O state machine
-that assumes serial dispatch, and its migration protocol
-(:meth:`_shard_request`) expects a shard call to complete synchronously.
-Both properties are preserved by funneling everything through one
-**router thread**:
+that assumes serial dispatch and reaches every shard through one
+interface, ``shard.call(message, suppress)``, which returns the shard's
+outputs in order.  Its migration protocol (:meth:`_shard_request`)
+expects that call to complete synchronously.  :class:`ProcShardHandle`
+implements the interface for a worker process, and one **router
+thread** keeps both properties:
 
 * ``handle_message`` (called from the host transport's event loop, or
   any client thread) only enqueues; the router thread dequeues and runs
   the normal dispatch, one message at a time.
-* :meth:`_call_shard` — the single point where the base router invokes a
-  shard — is overridden to wrap the message in a SHARD_FORWARD envelope
-  stamped with a per-shard delivery id, send it down the link, and
-  **block** until the worker's SHARD_UPLINK acknowledges that id.  The
-  collected outputs then flow through the unmodified
-  ``_on_shard_send`` bookkeeping.  Serial dispatch means at most one
-  delivery is ever outstanding per shard, which is what lets the base
-  class's migration/resharding logic run verbatim against processes.
+* :meth:`ProcShardHandle.call` wraps the message in a SHARD_FORWARD
+  envelope stamped with a per-shard delivery id, sends it down the link,
+  and **blocks** until the worker's SHARD_UPLINK acknowledges that id.
+  Serial dispatch means at most one delivery is ever outstanding per
+  shard, which is what lets the base class's migration/resharding logic
+  run verbatim against processes.
 * A **monitor thread** supervises liveness: it polls worker processes,
   sends SHARD_PING probes, and when a worker dies (or goes silent past
   ``liveness_timeout``) restarts it — the replacement recovers from the
   shard's journal, reports its delivery high-water mark in SHARD_HELLO,
-  and the supervisor re-sends whatever was still pending, unblocking any
-  waiting ``_call_shard`` (see :mod:`repro.cluster.worker` for the
-  exactly-once argument).
+  and the supervisor re-sends whatever was still pending, unblocking the
+  waiting call (see :mod:`repro.cluster.worker` for the exactly-once
+  argument).
 
 Link handlers run on each link's private event-loop thread and only
 touch the per-shard handle (ack delivery, liveness timestamps, cached
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -57,9 +58,10 @@ from repro.errors import ReproError
 from repro.net import kinds
 from repro.net.aio import AioClientTransport
 from repro.net.message import Message
-from repro.net.transport import ROUTER_ID, SERVER_ID, TrafficStats
+from repro.net.transport import ROUTER_ID, SERVER_ID
 from repro.cluster.router import ShardedCosoftCluster
 from repro.obs import tracing as obs_tracing
+from repro.obs.log import get_logger, log_event
 from repro.obs.remote import ShardSampleCache
 from repro.server.routing import RoutingStats
 
@@ -67,6 +69,8 @@ __all__ = ["ProcShardHandle", "ProcCluster", "FlightRecorder"]
 
 #: Sentinel that stops the router thread.
 _STOP = object()
+
+_log = get_logger("cluster.proc")
 
 
 class FlightRecorder:
@@ -97,21 +101,24 @@ class FlightRecorder:
 
 
 class ProcShardHandle:
-    """The router's in-process stand-in for one shard worker process.
+    """The router's shard interface for one shard worker process.
 
-    Holds the subprocess, the aio link to it, the per-shard delivery-id
-    counter (monotonic across worker restarts — the router process
-    outlives its workers), and the single-slot pending/ack rendezvous
-    the blocking :meth:`ProcCluster._call_shard` waits on.
+    The same ``call(message, suppress)`` that
+    :class:`~repro.cluster.router.LocalShard` answers in-process, over
+    the shard plane: :meth:`call` mints a delivery id, sends the
+    SHARD_FORWARD envelope and blocks until the worker's SHARD_UPLINK
+    acknowledges it.  Holds the subprocess, the aio link to it, the
+    per-shard delivery-id counter (monotonic across worker restarts —
+    the router process outlives its workers), and the pending/ack
+    rendezvous :meth:`call` waits on.
     """
-
-    #: The base router probes ``shard.persistence`` (epoch stamping,
-    #: retirement); a subprocess shard's journal lives in the worker.
-    persistence = None
 
     def __init__(self, shard_id: str, directory: str):
         self.shard_id = shard_id
         self.directory = directory
+        #: Bound on one blocking :meth:`call`; the supervisor sets it
+        #: from its own ``call_timeout``.
+        self.call_timeout = 60.0
         self.process: Optional[subprocess.Popen] = None
         self.link: Optional[AioClientTransport] = None
         self.port: Optional[int] = None
@@ -145,19 +152,63 @@ class ProcShardHandle:
         self._obs_replies = 0
         self._obs_cond = threading.Condition()
 
-    # -- delivery rendezvous (router thread <-> link thread) -----------
+    # -- the shard call (router thread <-> link thread) -----------------
 
-    def next_did(self) -> int:
+    def call(
+        self, message: Message, suppress: Optional[FrozenSet[str]] = None
+    ) -> List[Message]:
+        """Forward *message* to the worker; return its outputs, in order.
+
+        The worker applies *suppress* before it journals the outputs, so
+        suppressed replies never cross the wire.
+        """
         self._did += 1
-        return self._did
+        did = self._did
+        obs = self._obs
+        span = None
+        if obs is not None and obs.tracing and message.trace is not None:
+            # The supervisor half of the cross-process hop: covers the
+            # envelope round trip.  The worker parents its worker.apply
+            # span off this id, so the merged trace tree crosses the
+            # process boundary intact.
+            span = obs.spans.start(
+                obs_tracing.CLUSTER_FORWARD,
+                trace_id=message.trace[0],
+                parent_id=message.trace[1],
+                endpoint=ROUTER_ID,
+                shard=self.shard_id,
+                did=did,
+            )
+            message = dataclasses.replace(
+                message, trace=(message.trace[0], span.span_id)
+            )
+        envelope = Message(
+            kind=kinds.SHARD_FORWARD,
+            sender=ROUTER_ID,
+            to=self.shard_id,
+            payload={
+                "did": did,
+                "msg": message.to_wire(),
+                "suppress": sorted(suppress) if suppress else [],
+            },
+        )
+        try:
+            outs = self._deliver_and_wait(did, envelope)
+        finally:
+            if span is not None:
+                obs.spans.finish(span)
+        return [Message.from_wire(wire) for wire in outs]
 
-    def call(self, did: int, envelope: Message, timeout: float) -> List[Dict[str, Any]]:
+    def _deliver_and_wait(
+        self, did: int, envelope: Message
+    ) -> List[Dict[str, Any]]:
         """Send one delivery and block until the worker acknowledges it.
 
         The envelope is registered *before* the send, so a worker crash
         between the two is covered: the supervisor's restart path
         re-sends everything still pending.
         """
+        timeout = self.call_timeout
         with self._cond:
             self.pending[did] = envelope
         self.send(envelope)
@@ -213,6 +264,42 @@ class ProcShardHandle:
             link.send(message)
         except Exception:
             pass  # link died mid-send; the monitor restarts and re-sends
+
+    def stamp_epoch(self, epoch: int) -> None:
+        """Routing epochs are not stamped into worker journals."""
+
+    def close_link(self) -> None:
+        if self.link is not None:
+            try:
+                self.link.close()
+            except Exception:
+                pass
+            self.link = None
+
+    def close(self) -> None:
+        """Stop the worker: graceful EOF, then SIGTERM, then SIGKILL.
+
+        Aborts a call still waiting on it first.  The caller holds the
+        supervisor lock.
+        """
+        self.abort()
+        process = self.process
+        if process is not None and process.poll() is None:
+            try:
+                if process.stdin is not None:
+                    process.stdin.close()
+            except Exception:
+                pass
+            try:
+                process.terminate()
+                process.wait(timeout=2.0)
+            except Exception:
+                try:
+                    process.kill()
+                    process.wait(timeout=2.0)
+                except Exception:
+                    pass
+        self.close_link()
 
     # -- observability ---------------------------------------------------
 
@@ -399,26 +486,27 @@ class ProcCluster(ShardedCosoftCluster):
     # Shard lifecycle (overrides)
     # ------------------------------------------------------------------
 
-    def _create_shard(self, shard_id: str) -> None:
+    def _new_shard(self, shard_id: str) -> ProcShardHandle:
         handle = ProcShardHandle(
             shard_id, os.path.join(self.directory, shard_id)
         )
+        handle.call_timeout = self.call_timeout
         if self._obs is not None:
             handle.attach_observability(self._obs)
-        self.shards[shard_id] = handle  # type: ignore[assignment]
-        self._shard_stats[shard_id] = TrafficStats()
         with self._supervisor_lock:
-            self._spawn(handle)
+            try:
+                self._spawn(handle)
+            except BaseException:
+                handle.close()  # a worker that never said hello
+                raise
+        return handle
 
     def _retire_shard(self, shard_id: str) -> None:
-        handle = self.shards.pop(shard_id)
-        self._shard_stats.pop(shard_id, None)
-        with self._supervisor_lock:
-            handle.state = "retired"
-            handle.abort()
-            self._terminate(handle)
         # The journal directory stays — an operator can archive or
         # inspect a retired shard's op log.
+        with self._supervisor_lock:
+            self.shards[shard_id].state = "retired"
+            super()._retire_shard(shard_id)
 
     # ------------------------------------------------------------------
     # Observability (overrides)
@@ -577,39 +665,9 @@ class ProcCluster(ShardedCosoftCluster):
         )
         handle.resend_pending()
 
-    def _terminate(self, handle: ProcShardHandle) -> None:
-        """Tear one worker down (graceful EOF, then SIGTERM, then SIGKILL)."""
-        process = handle.process
-        if process is not None and process.poll() is None:
-            try:
-                if process.stdin is not None:
-                    process.stdin.close()
-            except Exception:
-                pass
-            try:
-                process.terminate()
-                process.wait(timeout=2.0)
-            except Exception:
-                try:
-                    process.kill()
-                    process.wait(timeout=2.0)
-                except Exception:
-                    pass
-        if handle.link is not None:
-            try:
-                handle.link.close()
-            except Exception:
-                pass
-            handle.link = None
-
     def _restart(self, handle: ProcShardHandle) -> None:
         """Replace a dead worker; caller holds the supervisor lock."""
-        if handle.link is not None:
-            try:
-                handle.link.close()
-            except Exception:
-                pass
-            handle.link = None
+        handle.close_link()
         handle.restarts += 1
         handle.flight.note("restart", restarts=handle.restarts)
         try:
@@ -761,8 +819,18 @@ class ProcCluster(ShardedCosoftCluster):
             if isinstance(item, Message):
                 try:
                     ShardedCosoftCluster.handle_message(self, item)
-                except Exception:
-                    pass  # dispatch already error-replies; never die
+                except Exception as exc:
+                    # Malformed input was already answered with an ERROR
+                    # reply; anything else is a fault.  Log it and keep
+                    # serving.
+                    log_event(
+                        _log,
+                        logging.ERROR,
+                        "router_dispatch_failed",
+                        kind=item.kind,
+                        sender=item.sender,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
             else:
                 fn, box, event = item
                 try:
@@ -786,56 +854,6 @@ class ProcCluster(ShardedCosoftCluster):
         if "error" in box:
             raise box["error"]
         return box.get("result")
-
-    # ------------------------------------------------------------------
-    # Shard invocation (override)
-    # ------------------------------------------------------------------
-
-    def _call_shard(
-        self,
-        shard_id: str,
-        message: Message,
-        suppress: Optional[FrozenSet[str]] = None,
-    ) -> None:
-        handle = self.shards[shard_id]
-        did = handle.next_did()
-        obs = self.obs
-        span = None
-        if obs.tracing and message.trace is not None:
-            # The supervisor half of the cross-process hop: covers the
-            # envelope round trip (send .. ack + output replay).  The
-            # worker parents its worker.apply span off this id, so the
-            # merged trace tree crosses the process boundary intact.
-            span = obs.spans.start(
-                obs_tracing.CLUSTER_FORWARD,
-                trace_id=message.trace[0],
-                parent_id=message.trace[1],
-                endpoint=ROUTER_ID,
-                shard=shard_id,
-                did=did,
-            )
-            message = dataclasses.replace(
-                message, trace=(message.trace[0], span.span_id)
-            )
-        envelope = Message(
-            kind=kinds.SHARD_FORWARD,
-            sender=ROUTER_ID,
-            to=shard_id,
-            payload={
-                "did": did,
-                "msg": message.to_wire(),
-                "suppress": sorted(suppress) if suppress else [],
-            },
-        )
-        try:
-            outs = handle.call(did, envelope, self.call_timeout)
-            # The worker already applied the suppress filter; replay its
-            # outputs through the base bookkeeping unfiltered.
-            for wire in outs:
-                self._on_shard_send(shard_id, Message.from_wire(wire))
-        finally:
-            if span is not None:
-                obs.spans.finish(span)
 
     # ------------------------------------------------------------------
     # Resharding / administration entry points (marshal to router thread)
@@ -942,7 +960,7 @@ class ProcCluster(ShardedCosoftCluster):
         self._router_thread.join(timeout=5.0)
         with self._supervisor_lock:
             for handle in list(self.shards.values()):
-                self._terminate(handle)
+                handle.close()
 
     def __enter__(self) -> "ProcCluster":
         return self

@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
 
 from repro.core import coupling
 from repro.errors import AlreadyRegisteredError, ReproError
@@ -59,43 +61,72 @@ from repro.server.routing import RoutingStats, broadcast, validate_couple_scope
 from repro.server.server import CosoftServer
 
 
-class _ShardTransport(Transport):
-    """A shard's outbound handle: hands every send back to the router.
+class LocalShard:
+    """An in-process shard: one ``CosoftServer`` behind the shard call.
 
-    Owns the shard's :class:`TrafficStats`, so the cluster path reports
-    per-hop traffic through the same object a single server does.
+    The router reaches every shard through one interface,
+    :meth:`call`; :class:`~repro.cluster.proc.ProcShardHandle` is its
+    other implementation, for a shard hosted in a worker process.
+
+    The shard is its server's transport.  The server only ever calls
+    :meth:`send`, and each send during a call lands in that call's
+    outputs, unless it is suppressed.
     """
 
-    def __init__(self, cluster: "ShardedCosoftCluster", shard_id: str):
-        self._cluster = cluster
-        self._shard_id = shard_id
-        self._closed = False
-        self._stats = TrafficStats()
-
-    @property
-    def local_id(self) -> str:
-        return SERVER_ID
-
-    @property
-    def stats(self) -> TrafficStats:
-        return self._stats
+    def __init__(self, server: CosoftServer):
+        self.server = server
+        #: The running call's outputs so far (``None`` between calls).
+        self.outputs: Optional[List[Message]] = None
+        self._call_suppress: FrozenSet[str] = frozenset()
+        server.bind(self)
 
     def send(self, message: Message) -> None:
-        self._cluster._on_shard_send(self._shard_id, message)
+        outs = self.outputs
+        if outs is None:
+            return  # e.g. journal replay: no call is waiting for it
+        # Router-addressed control replies always pass; suppressed kinds
+        # are replies the router gives the client itself.
+        if message.to != ROUTER_ID and message.kind in self._call_suppress:
+            return
+        outs.append(message)
 
-    def recv(self, message: Message) -> None:
-        self._cluster.shards[self._shard_id].handle_message(message)
+    def call(
+        self, message: Message, suppress: Optional[FrozenSet[str]] = None
+    ) -> Iterable[Message]:
+        """Dispatch *message*; return what the shard sent, in order.
 
-    def drive(self, predicate, timeout: float = 5.0) -> bool:
-        # Shards are passive state machines; they never block on replies.
-        return bool(predicate())
+        If the dispatch raises (say, the journal fails after the handler
+        ran), the outputs sent before the error are still yielded, then
+        the error is raised: the caller sees the same sequence a
+        streaming transport would have delivered.
+        """
+        outs: List[Message] = []
+        self.outputs = outs
+        self._call_suppress = suppress or frozenset()
+        try:
+            self.server.handle_message(message)
+        except Exception as exc:
+            return _yield_then_raise(outs, exc)
+        finally:
+            self.outputs = None
+        return outs
+
+    def configure_observability(self, obs, **labels: str) -> None:
+        self.server.configure_observability(obs, **labels)
+
+    def stamp_epoch(self, epoch: int) -> None:
+        """Record the router's routing epoch in the shard's next snapshots."""
+        if self.server.persistence is not None:
+            self.server.persistence.epoch = epoch
 
     def close(self) -> None:
-        self._closed = True
+        if self.server.persistence is not None:
+            self.server.persistence.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
+
+def _yield_then_raise(outs: List[Message], exc: Exception) -> Iterator[Message]:
+    yield from outs
+    raise exc
 
 
 #: Shard replies the router suppresses because it answers the client itself.
@@ -166,10 +197,12 @@ class ShardedCosoftCluster:
         self.history_depth = history_depth
         self.floor_lease = floor_lease
         self.ring = HashRing(self.shard_ids, vnodes=vnodes)
-        self.shards: Dict[str, CosoftServer] = {}
-        #: Per-shard traffic accounting lives on each shard's transport —
-        #: the same ``TrafficStats`` object a single server reports — and
-        #: is aggregated with :meth:`TrafficStats.merge`.
+        #: Shard id -> shard, each answering ``call(message, suppress)``:
+        #: a :class:`LocalShard` here, a worker-process handle in
+        #: :class:`~repro.cluster.proc.ProcCluster`.
+        self.shards: Dict[str, Any] = {}
+        #: Per-shard traffic accounting (the router records both hops),
+        #: aggregated with :meth:`TrafficStats.merge`.
         self._shard_stats: Dict[str, TrafficStats] = {}
         #: Per-shard journals (docs/PERSISTENCE.md): each shard gets its
         #: own op log + snapshot store under a shard-named subdirectory,
@@ -204,7 +237,6 @@ class ShardedCosoftCluster:
         self._migration_buffer: List[Message] = []
         #: Replies shards address to the router (migration control).
         self._captured: Dict[int, Message] = {}
-        self._suppress: Optional[FrozenSet[str]] = None
         #: Modeled per-shard busy horizon (see ``service_time``).
         self.service_time = service_time
         self._busy_until: Dict[str, float] = {}
@@ -224,13 +256,15 @@ class ShardedCosoftCluster:
     # ------------------------------------------------------------------
 
     def _create_shard(self, shard_id: str) -> None:
-        """Build one shard and wire it into the routing tables.
+        """Build one shard and wire it into the routing tables."""
+        self.shards[shard_id] = self._new_shard(shard_id)
+        self._shard_stats[shard_id] = TrafficStats()
 
-        The override point for deployments that host shards elsewhere —
-        the multi-process cluster replaces the in-process server with a
-        subprocess handle (:mod:`repro.cluster.proc`).
-        """
-        shard = CosoftServer(
+    def _new_shard(self, shard_id: str) -> Any:
+        """The shard itself — the override point for deployments that
+        host shards elsewhere (a worker process in
+        :mod:`repro.cluster.proc`)."""
+        server = CosoftServer(
             clock=self.clock,
             access=AccessControl(default_allow=self.default_allow),
             history_depth=self.history_depth,
@@ -244,18 +278,12 @@ class ShardedCosoftCluster:
                 else None
             ),
         )
-        transport = _ShardTransport(self, shard_id)
-        shard.bind(transport)
-        self.shards[shard_id] = shard
-        self._shard_stats[shard_id] = transport.stats
+        return LocalShard(server)
 
     def _retire_shard(self, shard_id: str) -> None:
         """Drop a shard that no longer owns any state (see remove_shard)."""
-        shard = self.shards.pop(shard_id)
         self._shard_stats.pop(shard_id, None)
-        persist = getattr(shard, "persistence", None)
-        if persist is not None:
-            persist.close()
+        self.shards.pop(shard_id).close()
 
     # ------------------------------------------------------------------
     # Wiring (same contract as CosoftServer)
@@ -664,23 +692,17 @@ class ShardedCosoftCluster:
         message: Message,
         suppress: Optional[FrozenSet[str]] = None,
     ) -> None:
-        previous = self._suppress
-        self._suppress = suppress
-        try:
-            self.shards[shard_id].handle_message(message)
-        finally:
-            self._suppress = previous
+        for out in self.shards[shard_id].call(message, suppress):
+            self._on_shard_send(shard_id, out)
 
     def _on_shard_send(self, shard_id: str, message: Message) -> None:
-        """Every shard-emitted message funnels through here."""
+        """Every shard-emitted message funnels through here, in order."""
         self._shard_stats[shard_id].record(
             message, self.codec.wire_size(message), resolve_destination(message)
         )
         if message.to == ROUTER_ID:
             if message.reply_to is not None:
                 self._captured[message.reply_to] = message
-            return
-        if self._suppress is not None and message.kind in self._suppress:
             return
         if message.kind == kinds.COUPLE_UPDATE:
             self._absorb_couple_update(shard_id, message.payload)
@@ -753,9 +775,7 @@ class ShardedCosoftCluster:
             # IMPORT on the target); stamp the new routing epoch so
             # their next snapshots record which era they belong to.
             for shard_id in (from_shard, to_shard):
-                persist = getattr(self.shards[shard_id], "persistence", None)
-                if persist is not None:
-                    persist.epoch = self.migrations
+                self.shards[shard_id].stamp_epoch(self.migrations)
         finally:
             self._frozen.difference_update(moving)
             self._drain_buffer()
@@ -905,11 +925,7 @@ class ShardedCosoftCluster:
         self._create_shard(shard_id)
         obs = self.obs
         if obs.enabled:
-            configure = getattr(
-                self.shards[shard_id], "configure_observability", None
-            )
-            if configure is not None:
-                configure(obs, shard=shard_id)
+            self.shards[shard_id].configure_observability(obs, shard=shard_id)
             if obs.registry.enabled:
                 self._shard_stats[shard_id].register_into(
                     obs.registry, shard=shard_id
@@ -1069,26 +1085,27 @@ class ShardedCosoftCluster:
 
     def stats(self) -> Dict[str, Any]:
         """Operational counters, cluster-wide and per shard."""
+        servers = {sid: shard.server for sid, shard in self.shards.items()}
         per_shard = {
             shard_id: {
                 "messages": self._shard_stats[shard_id].messages,
-                "couple_links": len(shard.couples),
-                "couple_groups": len(shard.couples.groups()),
-                "locks_held": len(shard.locks),
-                "history_entries": len(shard.history),
-                "processed": dict(shard.processed),
+                "couple_links": len(server.couples),
+                "couple_groups": len(server.couples.groups()),
+                "locks_held": len(server.locks),
+                "history_entries": len(server.history),
+                "processed": dict(server.processed),
                 "persistence": (
-                    shard.persistence.stats()
-                    if shard.persistence is not None
+                    server.persistence.stats()
+                    if server.persistence is not None
                     else None
                 ),
             }
-            for shard_id, shard in self.shards.items()
+            for shard_id, server in servers.items()
         }
         routing = RoutingStats()
         routing.merge(self.routing)
-        for shard in self.shards.values():
-            routing.merge(shard.routing)
+        for server in servers.values():
+            routing.merge(server.routing)
         return {
             "shards": len(self.shards),
             "migrations": self.migrations,

@@ -1,12 +1,17 @@
 """The shard worker: one ``CosoftServer`` in its own OS process.
 
 ``python -m repro.cluster.worker`` is what the multi-process supervisor
-(:mod:`repro.cluster.proc`) spawns per shard.  The worker hosts a plain
-:class:`~repro.server.server.CosoftServer` behind a
-:class:`ShardEndpoint` adapter on the asyncio runtime, journals every
-mutating operation to its own op log, and speaks the private shard plane
+(:mod:`repro.cluster.proc`) spawns per shard.  The worker hosts the
+same in-process shard the single-process router uses — a
+:class:`~repro.cluster.router.LocalShard` around a plain
+:class:`~repro.server.server.CosoftServer` — behind a
+:class:`ShardEndpoint` on the asyncio runtime.  It journals every
+mutating operation to its own op log and speaks the private shard plane
 (SHARD_* kinds, docs/CLUSTER.md) with the router over the ordinary aio
-transport.
+transport: each SHARD_FORWARD envelope becomes one
+``LocalShard.call(message, suppress)``, answered by one SHARD_UPLINK
+carrying the call's outputs.  The supervisor side of the same call is
+:class:`~repro.cluster.proc.ProcShardHandle`.
 
 Exactly-once delivery across worker crashes
 -------------------------------------------
@@ -39,7 +44,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.net import kinds
 from repro.net.message import Message
-from repro.net.transport import ROUTER_ID, TrafficStats, Transport
+from repro.net.transport import ROUTER_ID
+from repro.cluster.router import LocalShard
 from repro.obs import NULL_OBS, Observability
 from repro.obs import tracing as obs_tracing
 from repro.obs.remote import SampleDiffer
@@ -49,44 +55,6 @@ from repro.server.permissions import AccessControl
 from repro.server.server import CosoftServer
 
 __all__ = ["ShardEndpoint", "build_worker", "main"]
-
-
-class _CollectingTransport(Transport):
-    """The shard server's outbound handle inside a worker.
-
-    Everything the server emits during one forwarded dispatch is
-    collected (post-suppression) so the endpoint can journal it with the
-    operation and ship it uplink in the acknowledgement.
-    """
-
-    def __init__(self, endpoint: "ShardEndpoint"):
-        self._endpoint = endpoint
-        self._stats = TrafficStats()
-        self._closed = False
-
-    @property
-    def local_id(self) -> str:
-        return "server"
-
-    @property
-    def stats(self) -> TrafficStats:
-        return self._stats
-
-    def send(self, message: Message) -> None:
-        self._endpoint._collect(message)
-
-    def recv(self, message: Message) -> None:
-        self._endpoint.server.handle_message(message)
-
-    def drive(self, predicate, timeout: float = 5.0) -> bool:
-        return bool(predicate())
-
-    def close(self) -> None:
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
 
 class _JournalWithDelivery:
@@ -111,7 +79,7 @@ class _JournalWithDelivery:
             server,
             message,
             did=endpoint._current_did,
-            outs=list(endpoint._outs or ()),
+            outs=[out.to_wire() for out in endpoint.shard.outputs or ()],
         )
 
     def __getattr__(self, name: str) -> Any:
@@ -119,18 +87,21 @@ class _JournalWithDelivery:
 
 
 class ShardEndpoint:
-    """Adapter between the shard plane and a plain ``CosoftServer``.
+    """Adapter between the shard plane and an in-process shard.
 
     Runs under :class:`~repro.server.runtime.AsyncServerRuntime` (same
     ``handle_message``/``bind`` contract); unwraps SHARD_FORWARD
-    envelopes, dispatches the inner message, and answers each delivery
-    id with one SHARD_UPLINK carrying the collected outputs.
+    envelopes, runs the inner message through :meth:`LocalShard.call`,
+    and answers each delivery id with one SHARD_UPLINK carrying the
+    call's outputs.  Delivery-id dedup and the journaled outputs live
+    here, over the shard, because only a process boundary needs them.
     """
 
     def __init__(
         self, server: CosoftServer, shard_id: str, obs: Any = NULL_OBS
     ):
         self.server = server
+        self.shard = LocalShard(server)
         self.shard_id = shard_id
         self.obs = obs
         #: Delta cache answering OBS pulls: repeated scrapes ship only
@@ -143,9 +114,6 @@ class ShardEndpoint:
         self.max_did = 0
         self._last_outs: Dict[int, List[Dict[str, Any]]] = {}
         self._current_did: Optional[int] = None
-        self._outs: Optional[List[Dict[str, Any]]] = None
-        self._suppress: Optional[frozenset] = None
-        server.bind(_CollectingTransport(self))
         if server.persistence is not None:
             self._scan_journal(server.persistence)
             server.persistence = _JournalWithDelivery(
@@ -199,22 +167,6 @@ class ShardEndpoint:
             )
         )
 
-    def _collect(self, message: Message) -> None:
-        outs = self._outs
-        if outs is None:
-            return  # send outside a forwarded dispatch: nowhere to go
-        # Same precedence as the embedded router: router-addressed
-        # control replies always pass; suppressed kinds are dropped here
-        # so duplicate fan-out replies never cross the wire at all.
-        suppress = self._suppress
-        if (
-            message.to != ROUTER_ID
-            and suppress
-            and message.kind in suppress
-        ):
-            return
-        outs.append(message.to_wire())
-
     def _on_obs_pull(self, message: Message) -> None:
         """Answer a supervisor scrape with this worker's telemetry delta.
 
@@ -255,7 +207,7 @@ class ShardEndpoint:
             # journaled outputs so the router can finish its bookkeeping.
             self._send_uplink(did, self._last_outs.get(did, []))
             return
-        suppress_wire = payload.get("suppress") or ()
+        suppress = frozenset(payload.get("suppress") or ())
         inner = Message.from_wire(payload["msg"])
         obs = self.obs
         span = None
@@ -274,14 +226,10 @@ class ShardEndpoint:
                 inner, trace=(inner.trace[0], span.span_id)
             )
         self._current_did = did
-        self._outs = []
-        self._suppress = frozenset(suppress_wire) if suppress_wire else None
         try:
-            self.server.handle_message(inner)
+            outs = [out.to_wire() for out in self.shard.call(inner, suppress)]
         finally:
-            outs, self._outs = self._outs, None
             self._current_did = None
-            self._suppress = None
             if span is not None:
                 obs.spans.finish(span)
         self.max_did = did

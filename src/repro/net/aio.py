@@ -81,6 +81,41 @@ _log = get_logger("net.aio")
 _INLINE_BUFFER_LIMIT = 1 << 16
 
 
+class EventLoopThread:
+    """A dedicated thread running one asyncio event loop until stopped.
+
+    The server runtime serializes connection handling, dispatch and
+    batched writes on one of these; a transport built without a loop
+    starts its own.  :meth:`stop` ends the loop, cancels what is
+    still pending, runs the callbacks shutdown scheduled (a closing
+    transport's ``connection_lost`` closes its socket) and closes the
+    loop.
+    """
+
+    def __init__(self, name: str = "repro-aio-loop"):
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._main, name=name, daemon=True)
+        self._thread.start()
+
+    def _main(self) -> None:
+        asyncio.set_event_loop(self.loop)
+        try:
+            self.loop.run_forever()
+            pending = asyncio.all_tasks(self.loop)
+            for task in pending:
+                task.cancel()
+            self.loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
+        finally:
+            self.loop.close()
+
+    def stop(self, timeout: float = 5.0) -> None:
+        with contextlib.suppress(RuntimeError):  # loop already closed
+            self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=timeout)
+
+
 @dataclass(frozen=True)
 class BatchConfig:
     """Tuning knobs of the asyncio runtime (see docs/RUNTIME.md).
@@ -341,16 +376,11 @@ class AioHostTransport(Transport):
         #: check on the send hot path (set from the loop at bootstrap).
         self._loop_tid: Optional[int] = None
 
-        self._owns_loop = loop is None
+        self._loop_thread: Optional[EventLoopThread] = None
         if loop is None:
-            self._loop = asyncio.new_event_loop()
-            self._loop_thread = threading.Thread(
-                target=self._loop.run_forever, name="aio-host-loop", daemon=True
-            )
-            self._loop_thread.start()
-        else:
-            self._loop = loop
-            self._loop_thread = None
+            self._loop_thread = EventLoopThread("aio-host-loop")
+            loop = self._loop_thread.loop
+        self._loop = loop
 
         # Created on the loop; events must be born there.
         async def _bootstrap() -> Tuple[asyncio.AbstractServer, asyncio.Event]:
@@ -439,13 +469,11 @@ class AioHostTransport(Transport):
                     conn.writer.close()
             self._conns.clear()
             self._server.close()
-            if self._owns_loop:
-                self._loop.call_soon(self._loop.stop)
 
         if self._loop.is_running():
             self._loop.call_soon_threadsafe(_shutdown)
-            if self._owns_loop and self._loop_thread is not None:
-                self._loop_thread.join(timeout=5.0)
+        if self._loop_thread is not None:
+            self._loop_thread.stop()
 
     # ------------------------------------------------------------------
     # Event-loop internals
@@ -872,18 +900,11 @@ class AioClientTransport(TcpTransportBase):
         codec: object = "json",
     ):
         super().__init__(local_id, handler, codec=codec)
-        self._owns_loop = loop is None
+        self._loop_thread: Optional[EventLoopThread] = None
         if loop is None:
-            self._loop = asyncio.new_event_loop()
-            self._loop_thread: Optional[threading.Thread] = threading.Thread(
-                target=self._loop.run_forever,
-                name=f"aio-client-{local_id}",
-                daemon=True,
-            )
-            self._loop_thread.start()
-        else:
-            self._loop = loop
-            self._loop_thread = None
+            self._loop_thread = EventLoopThread(f"aio-client-{local_id}")
+            loop = self._loop_thread.loop
+        self._loop = loop
 
         async def _bootstrap() -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
             reader, writer = await asyncio.open_connection(host, port)
@@ -921,14 +942,12 @@ class AioClientTransport(TcpTransportBase):
         def _shutdown() -> None:
             with contextlib.suppress(Exception):
                 self._writer.close()
-            if self._owns_loop:
-                self._loop.call_soon(self._loop.stop)
 
         if self._loop.is_running():
             with contextlib.suppress(RuntimeError):
                 self._loop.call_soon_threadsafe(_shutdown)
-            if self._owns_loop and self._loop_thread is not None:
-                self._loop_thread.join(timeout=5.0)
+        if self._loop_thread is not None:
+            self._loop_thread.stop()
 
     # Loop internals ----------------------------------------------------
 

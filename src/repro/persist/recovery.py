@@ -158,39 +158,38 @@ def recover_cluster(
     shard's exact clock readings without ever running time backwards).
     Router state (couple-table mirror, home pins, floor/lock routes,
     registry) is then rebuilt from the recovered shards in one pass
-    rather than inferred from replay side effects.
+    rather than inferred from replay side effects.  Replay drives each
+    shard's server directly, outside any shard call, so whatever it
+    sends goes nowhere.
     """
     from repro.cluster.router import ShardedCosoftCluster
 
     cluster = ShardedCosoftCluster(persistence=config, **cluster_kwargs)
-    cluster.bind(DiscardTransport())
     latest = 0.0
-    for shard_id, shard in cluster.shards.items():
-        persist = shard.persistence
+    for shard in cluster.shards.values():
+        server = shard.server
+        persist = server.persistence
         if persist is None:
             continue
-        shard.persistence = None    # replay reads the log, never grows it
+        server.persistence = None    # replay reads the log, never grows it
         shard_clock = SimClock()
-        shard.clock = shard_clock
+        server.clock = shard_clock
         after = 0
         snap = persist.snapshots.load_latest(max_seq=at_seq)
         if snap is not None:
-            restore_state(shard, snap["state"])
+            restore_state(server, snap["state"])
             shard_clock.advance_to(float(snap.get("clock", 0.0)))
             after = int(snap["seq"])
         persist.replayed_ops += _replay_into(
-            shard, shard_clock, persist.log.read(after), at_seq=at_seq
+            server, shard_clock, persist.log.read(after), at_seq=at_seq
         )
         latest = max(latest, shard_clock.now())
-        shard.clock = cluster.clock
+        server.clock = cluster.clock
         if at_seq is None:
-            shard.persistence = persist
+            server.persistence = persist
     if latest > cluster.clock.now():
         cluster.clock.advance_to(latest)
     rebuild_router_state(cluster)
-    # Unbind so the caller's bind() is the first real transport; the
-    # replay sink must not swallow live traffic by accident.
-    cluster._transport = None
     return cluster
 
 
@@ -211,7 +210,8 @@ def rebuild_router_state(cluster: Any) -> None:
     cluster._floor_routes = {}
     cluster._floor_expected = {}
     cluster._pending_routes = {}
-    for shard_id, shard in cluster.shards.items():
+    servers = {sid: shard.server for sid, shard in cluster.shards.items()}
+    for shard_id, shard in servers.items():
         for link in shard.couples.links():
             cluster.mirror.add_link(link)
             for gid in (link.source, link.target):
@@ -228,7 +228,7 @@ def rebuild_router_state(cluster: Any) -> None:
             if pending:
                 cluster._floor_routes[key] = shard_id
                 cluster._floor_expected[key] = len(pending)
-    for shard in cluster.shards.values():
+    for shard in servers.values():
         for record in shard.registry.records():
             if record.instance_id not in cluster.registry:
                 cluster.registry.add(record)
@@ -239,8 +239,8 @@ def rebuild_router_state(cluster: Any) -> None:
         if (
             len(cluster.mirror.group_of(gid)) <= 1
             and cluster._home[gid] == cluster._ring_home(gid)
-            and cluster.shards[cluster._home[gid]].history.depth(gid) == (0, 0)
-            and cluster.shards[cluster._home[gid]].locks.holder(gid) is None
+            and servers[cluster._home[gid]].history.depth(gid) == (0, 0)
+            and servers[cluster._home[gid]].locks.holder(gid) is None
         ):
             del cluster._home[gid]
 

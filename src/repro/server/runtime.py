@@ -28,55 +28,12 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import threading
-from typing import Any, Awaitable, Dict, Optional, Tuple, TypeVar
+from typing import Any, Dict, Optional, Tuple
 
-from repro.net.aio import AioHostTransport, BatchConfig
+from repro.net.aio import AioHostTransport, BatchConfig, EventLoopThread
 from repro.obs.log import get_logger, log_event
 
-T = TypeVar("T")
-
 _log = get_logger("server.runtime")
-
-
-class EventLoopThread:
-    """A dedicated thread running one asyncio event loop forever.
-
-    The loop is the runtime's single point of serialization: connection
-    handling, message dispatch and batched writes are all callbacks on
-    it.  Application threads talk to it through :meth:`run` /
-    :meth:`call_soon`.
-    """
-
-    def __init__(self, name: str = "repro-aio-runtime"):
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._main, name=name, daemon=True)
-        self._thread.start()
-
-    def _main(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_forever()
-        # Drain cancellations scheduled during shutdown, then close.
-        pending = asyncio.all_tasks(self.loop)
-        for task in pending:
-            task.cancel()
-        if pending:
-            self.loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True)
-            )
-        self.loop.close()
-
-    def run(self, coro: Awaitable[T], timeout: float = 10.0) -> T:
-        """Run *coro* on the loop and block for its result."""
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout)
-
-    def call_soon(self, callback, *args) -> None:
-        self.loop.call_soon_threadsafe(callback, *args)
-
-    def stop(self, timeout: float = 5.0) -> None:
-        if self.loop.is_running():
-            self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=timeout)
 
 
 class AsyncServerRuntime:
@@ -113,7 +70,7 @@ class AsyncServerRuntime:
     ):
         self.endpoint = endpoint
         self.config = config if config is not None else BatchConfig()
-        self._loop_thread = EventLoopThread()
+        self._loop_thread = EventLoopThread("repro-aio-runtime")
         self.transport = AioHostTransport(
             endpoint.handle_message,
             host,

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cluster import ShardedCosoftCluster
+from repro.cluster.router import LocalShard
 from repro.core.compat import CorrespondenceRegistry
 from repro.core.instance import ApplicationInstance
 from repro.net.aio import BatchConfig
@@ -320,6 +321,20 @@ def _build_server(
     return CosoftServer(**kwargs), ephemeral
 
 
+def _shard_journals(cluster: ShardedCosoftCluster) -> Dict[str, Any]:
+    """Each in-process shard's live journal, by shard id.
+
+    A worker-process shard (``processes=True``) keeps its journal in
+    the worker, so it has none here.
+    """
+    return {
+        shard_id: shard.server.persistence
+        for shard_id, shard in cluster.shards.items()
+        if isinstance(shard, LocalShard)
+        and shard.server.persistence is not None
+    }
+
+
 class _BackendBase:
     """Shared machinery of the session backends."""
 
@@ -379,10 +394,9 @@ class _BackendBase:
         """Every live journal of this deployment (one per shard)."""
         server = self.server
         if isinstance(server, ShardedCosoftCluster):
-            found = [shard.persistence for shard in server.shards.values()]
-        else:
-            found = [getattr(server, "persistence", None)]
-        return [p for p in found if p is not None]
+            return list(_shard_journals(server).values())
+        persist = getattr(server, "persistence", None)
+        return [persist] if persist is not None else []
 
     def _close_persistence(self) -> None:
         """Flush and close the journals; drop an ephemeral directory."""
@@ -669,11 +683,7 @@ class Session:
         (cluster), or ``None``/empty when persistence is off."""
         server = self._impl.server
         if isinstance(server, ShardedCosoftCluster):
-            return {
-                shard_id: shard.persistence
-                for shard_id, shard in server.shards.items()
-                if shard.persistence is not None
-            }
+            return _shard_journals(server)
         return server.persistence
 
     @property

@@ -197,7 +197,7 @@ def cluster_snapshot(cluster: ShardedCosoftCluster) -> Dict[str, Any]:
     traffic = cluster.shard_traffic()
     per_shard: Dict[str, Any] = {}
     for shard_id in cluster.shard_ids:
-        shard_snap = snapshot(cluster.shards[shard_id])
+        shard_snap = snapshot(cluster.shards[shard_id].server)
         shard_snap["traffic_messages"] = cluster._shard_stats[shard_id].messages
         shard_snap["traffic_bytes"] = cluster._shard_stats[shard_id].bytes
         per_shard[shard_id] = shard_snap

@@ -153,14 +153,14 @@ class TestLiveHistoryMigration:
         instances["inst-1"].copy_from(field("inst-1"), ("inst-0", "/ui/f"))
         session.pump()
         start_home = cluster.shard_of(("inst-1", "/ui/f"))
-        assert len(cluster.shards[start_home].history) == 1
+        assert len(cluster.shards[start_home].server.history) == 1
 
         # Small group {0,1}; the couple may already move inst-1's object.
         instances["inst-0"].couple(field("inst-0"), ("inst-1", "/ui/f"))
         session.pump()
         small_home = cluster.shard_of(("inst-0", "/ui/f"))
         assert cluster.shard_of(("inst-1", "/ui/f")) == small_home
-        assert len(cluster.shards[small_home].history) == 1
+        assert len(cluster.shards[small_home].server.history) == 1
 
         # Big group {2,3,4}.
         instances["inst-2"].couple(field("inst-2"), ("inst-3", "/ui/f"))
@@ -175,11 +175,11 @@ class TestLiveHistoryMigration:
         session.pump()
         if small_home != big_home:
             assert cluster.migrations == migrations_before + 1
-            assert len(cluster.shards[small_home].history) == 0
+            assert len(cluster.shards[small_home].server.history) == 0
         for iid in instances:
             assert cluster.shard_of((iid, "/ui/f")) == big_home
-        assert len(cluster.shards[big_home].history) == 1
-        assert len(cluster.shards[big_home].couples) == 4
+        assert len(cluster.shards[big_home].server.history) == 1
+        assert len(cluster.shards[big_home].server.couples) == 4
 
         # The moved history still drives undo after two potential moves.
         assert instances["inst-1"].undo(field("inst-1"))

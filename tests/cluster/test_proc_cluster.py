@@ -7,16 +7,20 @@ processes through :class:`repro.cluster.proc.ProcCluster` and checks
 spawn/attach, status, heartbeats, kill/restart and the operator client.
 """
 
+import itertools
+import logging
 import os
 import time
 
 import pytest
 
 from repro.cluster.proc import ProcCluster
+from repro.cluster.router import LocalShard
 from repro.cluster.worker import build_worker
 from repro.net import kinds
 from repro.net.message import Message
 from repro.net.transport import ROUTER_ID
+from repro.server.server import CosoftServer
 
 
 def forward(endpoint, did, inner, suppress=()):
@@ -54,6 +58,32 @@ def endpoint(tmp_path):
     ep.bind(sink)
     ep.sink = sink
     yield ep
+    ep.server.persistence.close()
+
+
+@pytest.fixture(params=["local", "endpoint"])
+def shard_call(request, tmp_path):
+    """One shard call, ``(message, suppress) -> output kinds``: straight
+    into the in-process :class:`LocalShard`, or through a worker's
+    :class:`ShardEndpoint` as a SHARD_FORWARD answered by an uplink."""
+    if request.param == "local":
+        shard = LocalShard(CosoftServer())
+        yield lambda inner, suppress=(): [
+            out.kind for out in shard.call(inner, frozenset(suppress))
+        ]
+        return
+    ep = build_worker(shard_id="shard-0", directory=str(tmp_path))
+    sink = _Sink()
+    ep.bind(sink)
+    dids = itertools.count(1)
+
+    def call(inner, suppress=()):
+        sink.sent.clear()
+        forward(ep, next(dids), inner, suppress)
+        (uplink,) = sink.uplinks()
+        return [out["kind"] for out in uplink.payload["outs"]]
+
+    yield call
     ep.server.persistence.close()
 
 
@@ -133,24 +163,23 @@ class TestShardEndpointProtocol:
         finally:
             reborn.server.persistence.close()
 
-    def test_suppress_filters_everything_but_router_control(self, endpoint):
-        register(endpoint, 1)
-        endpoint.sink.sent.clear()
-        register(endpoint, 2, instance_id="b")
-        with_acks = endpoint.sink.uplinks()[0].payload["outs"]
-        assert any(o["kind"] == kinds.REGISTER_ACK for o in with_acks)
-        endpoint.sink.sent.clear()
-        forward(
-            endpoint,
-            3,
+    def test_suppress_filters_everything_but_router_control(self, shard_call):
+        shard_call(Message(kind=kinds.REGISTER, sender="a", payload={"user": "a"}))
+        with_acks = shard_call(
+            Message(kind=kinds.REGISTER, sender="b", payload={"user": "b"})
+        )
+        assert kinds.REGISTER_ACK in with_acks
+        outs = shard_call(
             Message(kind=kinds.REGISTER, sender="c", payload={"user": "c"}),
             suppress=[kinds.REGISTER_ACK, kinds.INSTANCE_LIST],
         )
-        outs = endpoint.sink.uplinks()[0].payload["outs"]
-        assert not any(
-            o["kind"] in (kinds.REGISTER_ACK, kinds.INSTANCE_LIST)
-            for o in outs
-        )
+        assert not {kinds.REGISTER_ACK, kinds.INSTANCE_LIST} & set(outs)
+        # A reply addressed to the router passes even when its kind is
+        # suppressed: the router needs it to run the cluster.
+        survey = Message(kind=kinds.SHARD_INVENTORY, sender=ROUTER_ID, payload={})
+        assert shard_call(survey, suppress=[kinds.SHARD_INVENTORY_REPLY]) == [
+            kinds.SHARD_INVENTORY_REPLY
+        ]
 
     def test_failed_handler_still_advances_did_with_error_out(self, endpoint):
         register(endpoint, 1)
@@ -254,6 +283,49 @@ class TestProcCluster:
             assert handle.last_pong > 0
             assert "registered" in handle.remote_stats
             assert cluster.stats()["per_shard"]["shard-0"]["worker"]
+        finally:
+            cluster.close()
+
+    def test_router_thread_logs_a_failed_dispatch_and_survives(
+        self, tmp_path, caplog
+    ):
+        cluster = ProcCluster(1, directory=str(tmp_path))
+        sent = []
+        cluster.bind(type("T", (), {"send": lambda self, m: sent.append(m)})())
+        try:
+            # A fault that is not a malformed-input error: the router
+            # cannot answer it with an ERROR reply, so it must log it.
+            original = cluster._dispatch
+
+            def explode(message):
+                if message.sender == "boom":
+                    raise RuntimeError("router bug")
+                original(message)
+
+            cluster._dispatch = explode
+            with caplog.at_level(logging.ERROR, logger="repro.cluster.proc"):
+                cluster.handle_message(
+                    Message(kind=kinds.REGISTER, sender="boom", payload={})
+                )
+                # The thread lives on: the next message is served.
+                cluster.handle_message(
+                    Message(kind=kinds.REGISTER, sender="a", payload={"user": "a"})
+                )
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline and not any(
+                    m.kind == kinds.REGISTER_ACK for m in sent
+                ):
+                    time.sleep(0.02)
+            assert any(m.kind == kinds.REGISTER_ACK for m in sent)
+            (record,) = [
+                r for r in caplog.records
+                if "router_dispatch_failed" in r.getMessage()
+            ]
+            assert record.levelno == logging.ERROR
+            text = record.getMessage()
+            assert "kind=register" in text
+            assert "sender=boom" in text
+            assert "RuntimeError" in text and "router bug" in text
         finally:
             cluster.close()
 

@@ -120,7 +120,7 @@ class TestAddShard:
             cluster = session.cluster
             new_id = cluster.add_shard()
             session.pump()
-            shard = cluster.shards[new_id]
+            shard = cluster.shards[new_id].server
             assert not shard.access.check("ben", ("a", "/ui/title"), "couple")
         finally:
             session.close()

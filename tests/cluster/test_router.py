@@ -1,5 +1,6 @@
 """Behavioral tests for the ShardedCosoftCluster front-end router."""
 
+import pytest
 
 from repro.cluster import ShardedCosoftCluster
 from repro.net import kinds
@@ -63,7 +64,7 @@ class TestRegistration:
         cluster, outbox = make_cluster(shards=3)
         register(cluster, "x")
         for shard in cluster.shards.values():
-            assert "x" in shard.registry
+            assert "x" in shard.server.registry
         assert "x" in cluster.registry
 
     def test_exactly_one_ack_reaches_the_client(self):
@@ -91,7 +92,7 @@ class TestRegistration:
         assert len(errors) == 1
         assert "already registered" in errors[0].payload["reason"]
         # No shard saw the duplicate as a fresh registration.
-        assert all(len(s.registry) == 1 for s in cluster.shards.values())
+        assert all(len(s.server.registry) == 1 for s in cluster.shards.values())
 
 
 class TestUnregister:
@@ -102,8 +103,8 @@ class TestUnregister:
         cluster.handle_message(Message(kind=kinds.UNREGISTER, sender="x"))
         assert "x" not in cluster.registry
         for shard in cluster.shards.values():
-            assert "x" not in shard.registry
-            assert "y" in shard.registry
+            assert "x" not in shard.server.registry
+            assert "y" in shard.server.registry
         leaves = [
             m for m in outbox.of_kind(kinds.INSTANCE_LIST)
             if m.payload.get("left") == "x"
@@ -141,6 +142,49 @@ class TestUnsupportedKind:
         assert len(outbox.of_kind(kinds.ERROR)) == 1
 
 
+class _FailingJournal:
+    """A journal whose disk is gone: every append raises."""
+
+    def record(self, server, message):
+        raise OSError("journal device lost")
+
+
+class TestShardCall:
+    def test_outputs_before_a_journal_failure_reach_the_router(self):
+        """A shard whose journal fails after the handler ran: the outputs
+        it already sent still reach the router's bookkeeping and the
+        client, in order, and then the error propagates."""
+        cluster, outbox = make_cluster(shards=1)
+        register(cluster, "a")
+        register(cluster, "b")
+        outbox.sent.clear()
+        cluster.shards["shard-0"].server.persistence = _FailingJournal()
+        seen = []
+        on_shard_send = cluster._on_shard_send
+
+        def spy(shard_id, message):
+            seen.append(message)
+            on_shard_send(shard_id, message)
+
+        cluster._on_shard_send = spy
+        couple = Message(
+            kind=kinds.COUPLE,
+            sender="a",
+            payload={"source": ["a", "/x"], "target": ["b", "/x"]},
+        )
+        with pytest.raises(OSError, match="journal device lost"):
+            cluster.handle_message(couple)
+        # The requester's correlated reply first, then the broadcast.
+        assert [(m.kind, m.to) for m in seen] == [
+            (kinds.COUPLE_UPDATE, "a"),
+            (kinds.COUPLE_UPDATE, "b"),
+        ]
+        assert seen[0].reply_to == couple.msg_id
+        assert outbox.sent == seen
+        # _on_shard_send ran its bookkeeping: the router mirrored the link.
+        assert len(cluster.mirror) == 1
+
+
 class TestPermissions:
     def test_rule_lands_on_every_shard_with_one_reply(self):
         session = Session(shards=3)
@@ -155,7 +199,7 @@ class TestPermissions:
         )
         session.pump()
         for shard in session.cluster.shards.values():
-            assert len(shard.access.rules()) == 1
+            assert len(shard.server.access.rules()) == 1
         session.close()
 
 
@@ -184,9 +228,9 @@ class TestRoutingAndMigration:
         assert cluster.migrations == 1
         assert cluster.shard_of(gid(first)) == winner
         assert cluster.shard_of(gid(second)) == winner
-        assert len(cluster.shards[winner].couples) == 1
+        assert len(cluster.shards[winner].server.couples) == 1
         loser = next(s for s in cluster.shard_ids if s != winner)
-        assert len(cluster.shards[loser].couples) == 0
+        assert len(cluster.shards[loser].server.couples) == 0
         session.close()
 
     def test_same_shard_couple_does_not_migrate(self):
@@ -230,7 +274,7 @@ class TestRoutingAndMigration:
         with_events = [
             shard_id
             for shard_id in cluster.shard_ids
-            if cluster.shards[shard_id].processed[kinds.EVENT]
+            if cluster.shards[shard_id].server.processed[kinds.EVENT]
         ]
         assert with_events == [home]
         session.close()
@@ -249,7 +293,7 @@ class TestRoutingAndMigration:
         a.decouple(ta.find("/ui/f"), ("b", "/ui/f"))
         session.pump()
         assert len(cluster.mirror) == 0
-        assert all(len(s.couples) == 0 for s in cluster.shards.values())
+        assert all(len(s.server.couples) == 0 for s in cluster.shards.values())
         session.close()
 
 
@@ -269,12 +313,12 @@ class TestFreezeBuffer:
         assert cluster.processed["__buffered__"] == 1
         assert fetch in cluster._migration_buffer
         home = cluster.shard_of(frozen_gid)
-        assert cluster.shards[home].processed[kinds.FETCH_STATE] == 0
+        assert cluster.shards[home].server.processed[kinds.FETCH_STATE] == 0
         # Thaw: the buffer replays into the (new) home shard.
         cluster._frozen.clear()
         cluster._drain_buffer()
         assert cluster._migration_buffer == []
-        assert cluster.shards[home].processed[kinds.FETCH_STATE] == 1
+        assert cluster.shards[home].server.processed[kinds.FETCH_STATE] == 1
 
     def test_unrelated_messages_pass_while_a_group_is_frozen(self):
         cluster, outbox = make_cluster(shards=2)

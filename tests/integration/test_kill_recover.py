@@ -95,21 +95,21 @@ class TestCluster:
         collaborate(session)
         cluster = session.cluster
         expected = {
-            sid: server_fingerprint(shard)
+            sid: server_fingerprint(shard.server)
             for sid, shard in cluster.shards.items()
         }
         config = PersistenceConfig(directory=str(tmp_path))
         recovered = recover_cluster(config, shards=shards)
         try:
             for sid, shard in recovered.shards.items():
-                assert server_fingerprint(shard) == expected[sid]
+                assert server_fingerprint(shard.server) == expected[sid]
             assert len(recovered.registry) == len(cluster.registry)
             assert len(recovered.mirror) == len(cluster.mirror)
             assert recovered._home == cluster._home
         finally:
             for shard in recovered.shards.values():
-                if shard.persistence is not None:
-                    shard.persistence.close()
+                if shard.server.persistence is not None:
+                    shard.server.persistence.close()
             session.close()
 
 

@@ -5,14 +5,22 @@ with explicit fake times; the socket-level tests run a real
 :class:`AioHostTransport` against the plain :class:`TcpClientTransport`.
 """
 
+import gc
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.errors import TransportClosedError
 from repro.net import kinds
-from repro.net.aio import AioHostTransport, BatchConfig, RetryPolicy, SendQueue
+from repro.net.aio import (
+    AioClientTransport,
+    AioHostTransport,
+    BatchConfig,
+    RetryPolicy,
+    SendQueue,
+)
 from repro.net.message import Message
 from repro.net.tcp import TcpClientTransport
 from repro.net.transport import (
@@ -339,7 +347,10 @@ class TestAioHostTransport:
             assert [m.payload["seq"] for m in client_inbox.received] == list(
                 range(5)
             )
+            # Accounting lands after the write is drained, a beat after
+            # the client can observe delivery — wait for it.
             stats = transport.stats
+            assert wait_until(lambda: stats.batched_messages == 5)
             assert stats.envelopes >= 1
             assert stats.envelope_messages >= 2
             assert stats.envelope_bytes > 0
@@ -482,3 +493,29 @@ class TestAioHostTransport:
             assert transport.stats.retries >= 1
         finally:
             client.close()
+
+
+# ---------------------------------------------------------------------------
+# Owned event loops
+# ---------------------------------------------------------------------------
+
+
+class TestOwnedLoops:
+    def test_close_closes_the_loops_each_transport_owns(self):
+        """A transport built without a loop starts its own; closing the
+        transport must close that loop and everything on it."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            host = AioHostTransport(Collector(), port=0)
+            _, port = host.address
+            client = AioClientTransport("c1", Collector(), "127.0.0.1", port)
+            client.send(msg(sender="c1", to="", hello=True))
+            assert wait_until(lambda: "c1" in host.connections())
+            loops = [client._loop, host._loop]
+            client.close()
+            host.close()
+            assert all(loop.is_closed() for loop in loops)
+            del client, host, loops
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == [], [str(w.message) for w in leaks]

@@ -141,14 +141,14 @@ class TestRecoverCluster:
         cluster = ShardedCosoftCluster(shards=2, persistence=config)
         self._drive(cluster)
         expected = {
-            sid: server_fingerprint(shard)
+            sid: server_fingerprint(shard.server)
             for sid, shard in cluster.shards.items()
         }
-        for persist in (s.persistence for s in cluster.shards.values()):
+        for persist in (s.server.persistence for s in cluster.shards.values()):
             persist.close()
         recovered = recover_cluster(config, shards=2)
         for sid, shard in recovered.shards.items():
-            assert server_fingerprint(shard) == expected[sid]
+            assert server_fingerprint(shard.server) == expected[sid]
         assert len(recovered.registry) == 3
         assert len(recovered.mirror) == 1
 
@@ -158,7 +158,7 @@ class TestRecoverCluster:
         config = PersistenceConfig(directory=str(tmp_path))
         cluster = ShardedCosoftCluster(shards=2, persistence=config)
         self._drive(cluster)
-        for persist in (s.persistence for s in cluster.shards.values()):
+        for persist in (s.server.persistence for s in cluster.shards.values()):
             persist.close()
         recovered = recover_cluster(config, shards=2)
         gid = ("a", "/app/x")
